@@ -3,13 +3,17 @@
 
 GO ?= go
 
-.PHONY: build test race lint lint-sarif mc check fuzz bench bench-json bench-regress fault-smoke serve serve-smoke trace-smoke promscrape-smoke soak-smoke cluster-smoke
+.PHONY: build test perfbench-test race lint lint-sarif mc check fuzz bench bench-json bench-regress fault-smoke serve serve-smoke trace-smoke promscrape-smoke soak-smoke cluster-smoke
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# perfbench/ is its own module, so ./... above skips it.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 race:
 	$(GO) test -race ./...
@@ -36,7 +40,7 @@ mc:
 	$(GO) run ./cmd/dirsimlint -mc
 	$(GO) run ./cmd/dirsimlint -mc -blocks 2
 
-check: build lint test race mc
+check: build lint test perfbench-test race mc
 
 # Short local fuzz of the scheme registry (CI runs the seed corpus via
 # `go test`; this explores further).

@@ -603,21 +603,21 @@ func BenchmarkExtensionLargerMachine(b *testing.B) {
 	b.ReportMetric(ptr1, "one_pointer_writes_pct_16p")
 }
 
-// Throughput benchmark: raw simulation speed of the lockstep driver over a
-// representative scheme mix, sequential versus the decode-once/fan-out
-// parallel driver, versus sequential with the flight recorder at its
-// default sampling. The parallel variant shards the engine set across
-// GOMAXPROCS workers; results are bitwise-identical to sequential (asserted
-// in internal/sim's parallel tests), so this measures pure driver overhead
-// and scaling. The traced variant guards the recorder's overhead budget:
-// it must stay within a few percent of the sequential baseline.
+// Throughput benchmark: raw simulation speed of the batched driver over a
+// representative scheme mix, inline versus fanned out to workers, versus
+// inline with the flight recorder at its default sampling. The parallel
+// variant shards the engine set across GOMAXPROCS workers; results are
+// bitwise-identical to sequential (asserted in internal/sim's parallel
+// tests), so this measures pure driver overhead and scaling. The traced
+// variant measures the recorder's overhead: on a 2-core Xeon VM its
+// throughput was 0.86–1.09× sequential's over 8 paired runs (DESIGN.md
+// §7). It is reported, not gated.
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	_, traces := loadBenchTraces(b)
 	tr := traces[0]
 	schemes := []string{"dir1nb", "wti", "dir0b", "dragon"}
 	cfg := dirsim.EngineConfig{Caches: 4}
 	run := func(b *testing.B, mkOpts func() dirsim.Options) {
-		b.SetBytes(int64(len(tr)))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := dirsim.RunSchemes(dirsim.NewTraceReader(tr), schemes, cfg, mkOpts()); err != nil {
@@ -632,7 +632,6 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 		// One engine, sequential: the per-reference cost of the hot path
 		// itself, with no fan-out amortization — the number the
 		// data-oriented engine rewrite is measured on (BENCH_*.json).
-		b.SetBytes(int64(len(tr)))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := dirsim.RunSchemes(dirsim.NewTraceReader(tr), []string{"dir0b"}, cfg, dirsim.Options{}); err != nil {

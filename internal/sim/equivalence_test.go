@@ -101,35 +101,76 @@ func engineDigest(t *testing.T, r Result, eng coherence.Engine, blocks []uint64)
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// nextOnlyReader hides a reader's concrete type behind the bare Reader
+// interface, so Run cannot take any in-memory fast path.
+type nextOnlyReader struct{ trace.Reader }
+
+// driverShapes are the ways of driving Run that must all reproduce the
+// same per-engine digests: the goldens pin results, not the driver that
+// produced them. The first is the shape the goldens were generated with —
+// one engine per Run over an in-memory trace, the fused single-engine
+// loop.
+var driverShapes = []struct {
+	name      string
+	together  bool // all engines in one Run, else one Run per engine
+	parallel  int
+	streaming bool // read through nextOnlyReader
+}{
+	{name: "per-engine"},
+	{name: "all-engines-parallel1", together: true, parallel: 1},
+	{name: "all-engines-parallel4", together: true, parallel: 4},
+	{name: "per-engine-streaming", streaming: true},
+}
+
 // computeEquivalenceDigests runs every registered engine over every
-// workload × configuration and returns the digest map keyed
-// "workload/config/scheme".
-func computeEquivalenceDigests(t *testing.T) map[string]string {
+// workload × configuration, driven in shape driverShapes[s], and returns
+// the digest map keyed "workload/config/scheme".
+func computeEquivalenceDigests(t *testing.T, s int) map[string]string {
 	t.Helper()
+	shape := driverShapes[s]
 	traces := equivalenceTraces(t)
 	workloads := make([]string, 0, len(traces))
 	for w := range traces {
 		workloads = append(workloads, w)
 	}
 	sort.Strings(workloads)
+	schemes := coherence.EngineNames()
 	digests := map[string]string{}
 	for _, w := range workloads {
 		tr := traces[w]
 		blocks := dataBlocks(tr, trace.DefaultBlockBytes)
 		for _, c := range equivalenceCases() {
-			for _, scheme := range coherence.EngineNames() {
+			engines := make([]coherence.Engine, len(schemes))
+			runs := make([][]coherence.Engine, len(schemes))
+			for i, scheme := range schemes {
 				eng, err := coherence.NewByName(scheme, c.cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := Run(context.Background(), trace.NewSliceReader(tr), []coherence.Engine{eng}, c.opts)
+				engines[i], runs[i] = eng, []coherence.Engine{eng}
+			}
+			if shape.together {
+				runs = [][]coherence.Engine{engines}
+			}
+			opts := c.opts
+			opts.Parallel = shape.parallel
+			var results []Result
+			for _, run := range runs {
+				var rd trace.Reader = trace.NewSliceReader(tr)
+				if shape.streaming {
+					rd = nextOnlyReader{rd}
+				}
+				rs, err := Run(context.Background(), rd, run, opts)
 				if err != nil {
-					t.Fatalf("%s/%s/%s: %v", w, c.name, scheme, err)
+					t.Fatalf("%s/%s/%s: %v", shape.name, w, c.name, err)
 				}
-				if err := eng.CheckInvariants(); err != nil {
-					t.Fatalf("%s/%s/%s: %v", w, c.name, scheme, err)
+				results = append(results, rs...)
+			}
+			for i, scheme := range schemes {
+				if err := engines[i].CheckInvariants(); err != nil {
+					t.Fatalf("%s/%s/%s/%s: %v", shape.name, w, c.name, scheme, err)
 				}
-				digests[w+"/"+c.name+"/"+scheme] = engineDigest(t, res[0], eng, blocks)
+				digests[w+"/"+c.name+"/"+scheme] = engineDigest(t, results[i], engines[i], blocks)
 			}
 		}
 	}
@@ -138,10 +179,11 @@ func computeEquivalenceDigests(t *testing.T) map[string]string {
 
 // TestEngineEquivalenceGoldens asserts that every engine still produces
 // bitwise-identical results to the original sequential map-keyed
-// implementation, across all 17 schemes and every configuration class.
+// implementation, across all 17 schemes and every configuration class,
+// however Run is driven.
 func TestEngineEquivalenceGoldens(t *testing.T) {
-	got := computeEquivalenceDigests(t)
 	if *updateGolden {
+		got := computeEquivalenceDigests(t, 0)
 		data, err := json.MarshalIndent(got, "", "\t")
 		if err != nil {
 			t.Fatal(err)
@@ -163,20 +205,25 @@ func TestEngineEquivalenceGoldens(t *testing.T) {
 	if err := json.Unmarshal(data, &want); err != nil {
 		t.Fatal(err)
 	}
-	if len(want) != len(got) {
-		t.Errorf("golden has %d digests, run produced %d", len(want), len(got))
-	}
-	var bad []string
-	for k, w := range want {
-		if g, ok := got[k]; !ok {
-			bad = append(bad, k+" (missing from run)")
-		} else if g != w {
-			bad = append(bad, k)
-		}
-	}
-	sort.Strings(bad)
-	if len(bad) > 0 {
-		t.Errorf("%d of %d digests diverge from the seed results:\n  %s",
-			len(bad), len(want), strings.Join(bad, "\n  "))
+	for s, shape := range driverShapes {
+		t.Run(shape.name, func(t *testing.T) {
+			got := computeEquivalenceDigests(t, s)
+			if len(want) != len(got) {
+				t.Errorf("golden has %d digests, run produced %d", len(want), len(got))
+			}
+			var bad []string
+			for k, w := range want {
+				if g, ok := got[k]; !ok {
+					bad = append(bad, k+" (missing from run)")
+				} else if g != w {
+					bad = append(bad, k)
+				}
+			}
+			sort.Strings(bad)
+			if len(bad) > 0 {
+				t.Errorf("%d of %d digests diverge from the seed results:\n  %s",
+					len(bad), len(want), strings.Join(bad, "\n  "))
+			}
+		})
 	}
 }

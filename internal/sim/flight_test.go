@@ -22,7 +22,8 @@ var updateGolden = flag.Bool("update", false, "rewrite golden trace files")
 // tracing is a pure observer, so with sampling and spans on — even at
 // sample=1, the densest setting — every engine's Stats must be bitwise
 // identical to an untraced run. Checked across all 17 registered schemes,
-// sequentially and through the parallel fan-out.
+// sequentially and through the parallel fan-out, with and without a
+// warm-up window.
 func TestTracedStatsIdenticalAllEngines(t *testing.T) {
 	tr, err := tracegen.Generate(tracegen.POPS(30_000))
 	if err != nil {
@@ -30,10 +31,6 @@ func TestTracedStatsIdenticalAllEngines(t *testing.T) {
 	}
 	schemes := coherence.EngineNames()
 	cfg := coherence.Config{Caches: 4}
-	plain, err := RunSchemes(context.Background(), trace.NewSliceReader(tr), schemes, cfg, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, tc := range []struct {
 		name string
 		opts Options
@@ -41,7 +38,15 @@ func TestTracedStatsIdenticalAllEngines(t *testing.T) {
 		{"sequential-sample1", Options{Recorder: flight.New(flight.Options{Sample: 1, Spans: true})}},
 		{"sequential-default", Options{Recorder: flight.New(flight.Options{Sample: flight.DefaultSample})}},
 		{"parallel-sample1", Options{Parallel: 4, Recorder: flight.New(flight.Options{Sample: 1, Spans: true})}},
+		// The warm-up reset lands inside a sampled batch, off a batch
+		// boundary.
+		{"sequential-warmup-sample1", Options{WarmupRefs: batchRefs + 13, Recorder: flight.New(flight.Options{Sample: 1, Spans: true})}},
+		{"parallel-warmup-sample1", Options{WarmupRefs: batchRefs + 13, Parallel: 4, Recorder: flight.New(flight.Options{Sample: 1, Spans: true})}},
 	} {
+		plain, err := RunSchemes(context.Background(), trace.NewSliceReader(tr), schemes, cfg, Options{WarmupRefs: tc.opts.WarmupRefs})
+		if err != nil {
+			t.Fatal(err)
+		}
 		traced, err := RunSchemes(context.Background(), trace.NewSliceReader(tr), schemes, cfg, tc.opts)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)

@@ -195,3 +195,28 @@ func TestParallelOptionValidation(t *testing.T) {
 		t.Errorf("default workers = %d, want 1", w)
 	}
 }
+
+// The fan-out recycles a fixed pool of batch buffers, so a parallel run's
+// allocations must not grow with the number of batches in the trace.
+func TestParallelAllocsIndependentOfTraceLength(t *testing.T) {
+	allocs := func(batches int) float64 {
+		// endlessReader cycles over a fixed block set, so engine state
+		// stops growing after the first pass and any allocation that
+		// scales with the trace belongs to the driver.
+		tr := make(trace.Slice, batches*batchRefs)
+		er := &endlessReader{}
+		for i := range tr {
+			tr[i], _ = er.Next()
+		}
+		return testing.AllocsPerRun(5, func() {
+			if _, err := RunSchemes(context.Background(), trace.NewSliceReader(tr), []string{"dir0b", "wti"},
+				coherence.Config{Caches: 4}, Options{Parallel: 2}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	short, long := allocs(10), allocs(40)
+	if long > short+2 {
+		t.Errorf("Parallel=2 allocations grow with trace length: %.0f for 10 batches, %.0f for 40", short, long)
+	}
+}

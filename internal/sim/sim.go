@@ -3,15 +3,18 @@
 //
 // The driver streams a trace once: references are decoded into batches —
 // cache attribution resolved, block number computed, the paper's
-// first-reference exclusion applied from a single shared seen-set ("we
+// first-reference exclusion applied from one shared block interner ("we
 // exclude the misses caused by the first reference to a block in the trace
-// because these occur in a uniprocessor infinite cache as well") — and the
-// batches are fed to every engine. With Options.Parallel > 1 the batches
-// fan out to engines running on bounded worker goroutines; each engine
-// still sees the full stream in order, so the results are bitwise
-// identical to the sequential driver. Results carry the Table 4 event
-// counts, the bus-operation tallies priced by internal/bus, and the
-// Figure 1 invalidation-fanout histogram.
+// because these occur in a uniprocessor infinite cache as well") — and
+// each batch is applied to every engine. One decode loop serves every run
+// shape: with Options.Parallel ≤ 1 the batches are applied inline on the
+// caller's goroutine; above that they fan out to engine groups on worker
+// goroutines through a fixed pool of recycled batch buffers. Each engine
+// sees the full stream in order either way, so the results are bitwise
+// identical. The one specialisation is a fused decode-and-apply loop for
+// a single id-indexed engine over an in-memory trace with no recorder.
+// Results carry the Table 4 event counts, the bus-operation tallies priced
+// by internal/bus, and the Figure 1 invalidation-fanout histogram.
 package sim
 
 import (
@@ -20,6 +23,7 @@ import (
 	"io"
 	"math/bits"
 	"sync"
+	"sync/atomic"
 
 	"dirsim/internal/blockid"
 	"dirsim/internal/bus"
@@ -62,11 +66,11 @@ type Options struct {
 	// studies (the two compose).
 	WarmupRefs int
 	// Parallel is the number of engine worker goroutines the driver may
-	// use. 0 or 1 keeps the classic sequential lockstep loop; higher
-	// values fan decoded reference batches out to engines running
-	// concurrently (at most one worker per engine is useful). Every
-	// engine sees the full stream in order either way, so results are
-	// identical.
+	// use. 0 or 1 applies each decoded batch to every engine inline, on
+	// the goroutine that called Run; higher values fan the batches out to
+	// engine groups running concurrently (at most one worker per engine is
+	// useful). Every engine sees the full stream in order either way, so
+	// results are identical.
 	Parallel int
 	// OnProgress, when non-nil, is called with the number of references
 	// decoded since the previous call, at batch granularity, from the
@@ -76,19 +80,6 @@ type Options struct {
 	// events and run-phase spans into flight rings. It is a pure
 	// observer: engine Stats are bitwise identical with and without it.
 	Recorder *flight.Recorder
-	// Partition, when greater than 1, runs RunSchemes in address-
-	// partitioned mode: each scheme is instantiated Partition times and
-	// block ids are sharded across the instances (id mod Partition), so a
-	// single scheme's work spreads over that many goroutines. The merged
-	// Stats are bitwise identical to a sequential run because, with
-	// infinite caches and an unbounded directory, every engine's handling
-	// of a block depends only on that block's own state. RunSchemes
-	// rejects the mode for finite caches or a bounded directory (LRU
-	// replacement couples blocks through set and entry contention) and
-	// when a flight recorder is attached (per-shard sampling ordinals
-	// would diverge from the sequential trace). Options.Parallel is
-	// ignored in this mode.
-	Partition int
 }
 
 func (o Options) blockBytes() int {
@@ -111,9 +102,6 @@ func (o Options) Validate() error {
 	}
 	if o.Parallel < 0 {
 		return fmt.Errorf("sim: negative Parallel %d", o.Parallel)
-	}
-	if o.Partition < 0 {
-		return fmt.Errorf("sim: negative Partition %d", o.Partition)
 	}
 	return nil
 }
@@ -206,12 +194,14 @@ const batchRefs = 4096
 
 // decodedRef is one reference after the trace-level work is done: cache
 // attribution resolved, block number computed and interned to a dense id,
-// first-reference flag set from the interner's freshness bit.
+// first-reference flag set from the interner's freshness bit. It packs
+// into 16 bytes: a cache index always fits 16 bits, because it comes from
+// an 8-bit CPU number or a dense index over 16-bit process ids.
 type decodedRef struct {
-	cache int
-	kind  trace.Kind
 	block uint64
 	id    blockid.ID // dense block id; meaningless for Instr refs
+	cache uint16
+	kind  trace.Kind
 	first bool
 }
 
@@ -222,118 +212,115 @@ type decodedRef struct {
 // first-reference detection: a fresh id is by definition the first
 // reference to that block in the trace, so the old seen-set is gone.
 type decoder struct {
-	rd   trace.Reader
-	opts Options
-	// sr is non-nil when rd replays an in-memory trace, enabling the
-	// batch fast path that skips the per-reference interface call.
-	sr     *trace.SliceReader
-	caches int
+	rd trace.Reader
+	// sr is non-nil when rd replays an in-memory trace, whose chunks are
+	// handed over without a per-reference interface call; otherwise
+	// scratch receives each chunk through Next.
+	sr      *trace.SliceReader
+	scratch []trace.Ref
+	caches  int
+	// cpuFast bounds cacheOf's inline case: the cache count under ByCPU,
+	// zero under ByProcess, where every reference takes the map.
+	cpuFast int
+	include bool
 	// blockShift turns a byte address into a block number. Validate
 	// guarantees the block size is a power of two, so the decode loop
 	// shifts instead of dividing by a variable (a real division per
 	// reference otherwise dominates single-engine decode).
 	blockShift uint
 	tab        *blockid.Table
-	pidToCache map[uint16]int
+	pidToCache map[uint16]int // ByProcess only
 }
 
 func newDecoder(rd trace.Reader, caches int, opts Options) *decoder {
-	sr, _ := rd.(*trace.SliceReader)
-	return &decoder{
+	d := &decoder{
 		rd:         rd,
-		opts:       opts,
-		sr:         sr,
 		caches:     caches,
+		include:    opts.IncludeFirstRefCosts,
 		blockShift: uint(bits.TrailingZeros(uint(opts.blockBytes()))),
 		tab:        blockid.New(),
-		pidToCache: map[uint16]int{},
 	}
+	if opts.CacheBy == ByProcess {
+		d.pidToCache = map[uint16]int{}
+	} else {
+		d.cpuFast = caches
+	}
+	d.sr, _ = rd.(*trace.SliceReader)
+	if d.sr == nil {
+		d.scratch = make([]trace.Ref, 0, batchRefs)
+	}
+	return d
 }
 
-// decode turns one raw reference into its decoded form, shared by the
-// streaming and slice batch loops.
-func (d *decoder) decode(ref trace.Ref) (decodedRef, error) {
-	var c int
-	switch d.opts.CacheBy {
-	case ByCPU:
-		c = int(ref.CPU)
-	case ByProcess:
+// cacheOf returns the cache a reference goes to, or an error when the
+// engines have too few caches for it. It is the decode and fused loops'
+// one attribution step; the in-range per-CPU case stays small enough to
+// inline into them.
+func (d *decoder) cacheOf(ref *trace.Ref) (c int, err error) {
+	if c = int(ref.CPU); c >= d.cpuFast {
+		c, err = d.attribute(ref)
+	}
+	return c, err
+}
+
+// attribute is cacheOf's general case. Under ByProcess the mapping runs
+// for instruction fetches too: process-to-cache assignment is by order of
+// first appearance in the full stream.
+func (d *decoder) attribute(ref *trace.Ref) (int, error) {
+	c := int(ref.CPU)
+	if d.pidToCache != nil {
 		var ok bool
-		c, ok = d.pidToCache[ref.PID]
-		if !ok {
+		if c, ok = d.pidToCache[ref.PID]; !ok {
 			c = len(d.pidToCache)
 			d.pidToCache[ref.PID] = c
 		}
 	}
 	if c >= d.caches {
-		return decodedRef{}, fmt.Errorf("sim: reference needs cache %d but engines have %d caches", c, d.caches)
+		return 0, fmt.Errorf("sim: reference needs cache %d but engines have %d caches", c, d.caches)
 	}
-	block := ref.Addr >> d.blockShift
-	var id blockid.ID
-	first := false
-	if ref.Kind != trace.Instr {
-		var fresh bool
-		id, fresh = d.tab.Intern(block)
-		first = fresh && !d.opts.IncludeFirstRefCosts
-	}
-	return decodedRef{cache: c, kind: ref.Kind, block: block, id: id, first: first}, nil
+	return c, nil
 }
 
-// nextBatch appends up to batchRefs decoded references to buf[:0] and
-// returns the batch. It returns io.EOF (possibly alongside a final
-// partial batch) when the trace ends.
-func (d *decoder) nextBatch(buf []decodedRef) ([]decodedRef, error) {
-	batch := buf[:0]
+// take returns the next chunk of up to batchRefs raw references. Its error
+// is io.EOF (possibly alongside a final partial chunk) when the trace ends,
+// or the reader's own error after the references read before it.
+func (d *decoder) take() ([]trace.Ref, error) {
 	if d.sr != nil {
-		// Slice fast path: same decode as d.decode, written out so the
-		// per-reference work stays in one loop with no call overhead.
 		refs := d.sr.Take(batchRefs)
-		byProcess := d.opts.CacheBy == ByProcess
-		include := d.opts.IncludeFirstRefCosts
-		for i := range refs {
-			ref := &refs[i]
-			var c int
-			if byProcess {
-				var ok bool
-				c, ok = d.pidToCache[ref.PID]
-				if !ok {
-					c = len(d.pidToCache)
-					d.pidToCache[ref.PID] = c
-				}
-			} else {
-				c = int(ref.CPU)
-			}
-			if c >= d.caches {
-				return batch, fmt.Errorf("sim: reference needs cache %d but engines have %d caches", c, d.caches)
-			}
-			block := ref.Addr >> d.blockShift
-			var id blockid.ID
-			first := false
-			if ref.Kind != trace.Instr {
-				var fresh bool
-				id, fresh = d.tab.Intern(block)
-				first = fresh && !include
-			}
-			batch = append(batch, decodedRef{cache: c, kind: ref.Kind, block: block, id: id, first: first})
-		}
 		if len(refs) < batchRefs {
-			return batch, io.EOF
+			return refs, io.EOF
 		}
-		return batch, nil
+		return refs, nil
 	}
-	for len(batch) < batchRefs {
+	refs := d.scratch[:0]
+	for len(refs) < batchRefs {
 		ref, err := d.rd.Next()
 		if err != nil {
-			if err == io.EOF {
-				return batch, io.EOF
-			}
-			return batch, err
+			return refs, err
 		}
-		dr, err := d.decode(ref)
+		refs = append(refs, ref)
+	}
+	return refs, nil
+}
+
+// decode turns one chunk of raw references into a batch in buf[:0].
+func (d *decoder) decode(refs []trace.Ref, buf []decodedRef) ([]decodedRef, error) {
+	batch := buf[:0]
+	for i := range refs {
+		ref := &refs[i]
+		c, err := d.cacheOf(ref)
 		if err != nil {
-			return batch, err
+			return nil, err
 		}
-		batch = append(batch, dr)
+		block := ref.Addr >> d.blockShift
+		var id blockid.ID
+		first := false
+		if ref.Kind != trace.Instr {
+			var fresh bool
+			id, fresh = d.tab.Intern(block)
+			first = fresh && !d.include
+		}
+		batch = append(batch, decodedRef{block: block, id: id, cache: uint16(c), kind: ref.Kind, first: first})
 	}
 	return batch, nil
 }
@@ -361,65 +348,19 @@ func bindEngines(engines []coherence.Engine, tab *blockid.Table) []engineSlot {
 	return slots
 }
 
-// applyBatch feeds one batch to a group of engines, handling the end of
-// the warm-up window exactly where the sequential driver always has:
-// after reference number WarmupRefs. processed is the group's reference
-// count before the batch; the updated count is returned.
-func applyBatch(batch []decodedRef, engines []engineSlot, warmup, processed int) int {
-	// The warm-up boundary falls inside at most one batch per run; split
-	// that batch once so the hot loop carries no per-reference counter.
-	if warmup > processed && warmup <= processed+len(batch) {
-		cut := warmup - processed
-		applyRefs(batch[:cut], engines)
-		// End of warm-up: keep all protocol state, measure only what
-		// follows.
-		for _, s := range engines {
-			s.eng.ResetStats()
-		}
-		applyRefs(batch[cut:], engines)
-		return processed + len(batch)
-	}
-	applyRefs(batch, engines)
-	return processed + len(batch)
-}
-
-// applyRefs is the innermost dispatch loop. The single-engine shapes are
-// split out so the slot fields load once per batch instead of once per
-// reference — the single-scheme run is the throughput number the
-// data-oriented core is measured on.
-func applyRefs(refs []decodedRef, engines []engineSlot) {
-	if len(engines) == 1 {
-		if ie := engines[0].idx; ie != nil {
-			for i := range refs {
-				r := &refs[i]
-				ie.AccessID(r.cache, r.kind, r.block, r.id, r.first)
-			}
-			return
-		}
-		e := engines[0].eng
-		for i := range refs {
-			r := &refs[i]
-			e.Access(r.cache, r.kind, r.block, r.first)
-		}
-		return
-	}
-	for i := range refs {
-		r := &refs[i]
-		for _, s := range engines {
-			if s.idx != nil {
-				s.idx.AccessID(r.cache, r.kind, r.block, r.id, r.first)
-			} else {
-				s.eng.Access(r.cache, r.kind, r.block, r.first)
-			}
-		}
+// resetStats ends the warm-up window: protocol state is kept, only what
+// follows is measured.
+func resetStats(engines []engineSlot) {
+	for _, s := range engines {
+		s.eng.ResetStats()
 	}
 }
 
 // runTrace holds the per-run flight-recorder wiring: the sampling
 // interval, the driver track, and one track per engine (aligned with the
-// engine slice, so workers index it with the same lo:hi bounds they use
-// for their engine group). Phase ids are interned up front so the hot
-// path never touches the recorder's name tables.
+// engine slice, so each engine group takes the same lo:hi bounds of it).
+// Phase ids are interned up front so the hot path never touches the
+// recorder's name tables.
 type runTrace struct {
 	rec      *flight.Recorder
 	sample   uint64
@@ -454,114 +395,118 @@ func newRunTrace(rec *flight.Recorder, engines []coherence.Engine) *runTrace {
 	return tr
 }
 
-// spanDur clamps a reference count to the Event.Dur field width.
-func spanDur(n uint64) uint32 {
-	if n > 1<<32-1 {
-		return 1<<32 - 1
+// span emits a phase span of n references starting at seq.
+func span(ring *flight.Ring, track uint16, phase uint32, seq uint64, n int) {
+	dur := uint32(1<<32 - 1)
+	if uint64(n) < uint64(dur) {
+		dur = uint32(n)
 	}
-	return uint32(n)
+	ring.Emit(flight.Event{Seq: seq, Dur: dur, Track: track, Cache: -1, Kind: flight.KindSpan, Arg: phase})
 }
 
-// applyBatchTraced is applyBatch with the flight recorder attached:
-// every tr.sample-th reference (by global reference ordinal, so the
-// choice is deterministic) has its Table 4 classification recorded on
-// each engine's track, plus any directory protocol actions the access
-// triggered — derived by diffing the engine's own Stats counters around
-// the call, so the engines themselves are untouched and their tallies
-// provably unchanged. tracks is tr.tracks sliced to this engine group;
-// ring is this worker's single-writer buffer.
-func applyBatchTraced(batch []decodedRef, engines []engineSlot, tracks []uint16, tr *runTrace, ring *flight.Ring, warmup, processed int) int {
-	if tr == nil {
-		return applyBatch(batch, engines, warmup, processed)
-	}
-	start := uint64(processed)
-	// One division per batch instead of a modulo per reference: sampled
-	// ordinals are the multiples of tr.sample, so the loop below runs
-	// applyBatch's plain inner loop over the stretches between them and
-	// pays the recording cost only at the sample points themselves.
-	nextSample := ^uint64(0)
-	if tr.sample > 0 {
-		nextSample = (start + tr.sample - 1) / tr.sample * tr.sample
+// engineGroup is the engines one worker applies batches to: a contiguous
+// run of the engine slice, its flight tracks, the worker's single-writer
+// ring, and the count of references the group has applied.
+type engineGroup struct {
+	slots     []engineSlot
+	tracks    []uint16
+	ring      *flight.Ring
+	processed int
+}
+
+// apply feeds one batch to the group. It is the driver's one apply loop:
+// the batch runs in plain stretches, each reference to every engine before
+// the next, and a stretch ends at the next sample point, the warm-up
+// boundary (after reference number warmup, where every engine's tallies
+// reset) or the end of the batch. Without a recorder there are no sample
+// points, so an untraced batch is one stretch, or two when the warm-up
+// boundary falls inside it.
+func (g *engineGroup) apply(batch []decodedRef, tr *runTrace, warmup int) {
+	start := uint64(g.processed)
+	// Sampled ordinals are the multiples of tr.sample: one division per
+	// batch finds the first, instead of a modulo per reference. Untraced,
+	// there is none.
+	next := ^uint64(0)
+	if tr != nil && tr.sample > 0 {
+		next = (start + tr.sample - 1) / tr.sample * tr.sample
 	}
 	for i := 0; i < len(batch); {
-		seq := uint64(processed)
-		if seq == nextSample {
-			nextSample += tr.sample
-			r := batch[i]
-			for ei, s := range engines {
-				st := s.eng.Stats()
-				di := st.DirectedInvals
-				bi := st.BroadcastInvals
-				pe := st.PointerEvictions
-				de := st.DirEntryEvictions
-				var typ events.Type
-				if s.idx != nil {
-					typ = s.idx.AccessID(r.cache, r.kind, r.block, r.id, r.first)
-				} else {
-					typ = s.eng.Access(r.cache, r.kind, r.block, r.first)
-				}
-				ring.Emit(flight.Event{Seq: seq, Block: r.block, Track: tracks[ei], Cache: int16(r.cache), Kind: flight.Kind(typ)})
-				if n := st.DirectedInvals - di; n > 0 {
-					ring.Emit(flight.Event{Seq: seq, Block: r.block, Arg: uint32(n), Track: tracks[ei], Cache: int16(r.cache), Kind: flight.KindInval})
-				}
-				if n := st.BroadcastInvals - bi; n > 0 {
-					ring.Emit(flight.Event{Seq: seq, Block: r.block, Arg: uint32(n), Track: tracks[ei], Cache: int16(r.cache), Kind: flight.KindBroadcast})
-				}
-				if n := st.PointerEvictions - pe; n > 0 {
-					ring.Emit(flight.Event{Seq: seq, Block: r.block, Arg: uint32(n), Track: tracks[ei], Cache: int16(r.cache), Kind: flight.KindPointerEviction})
-				}
-				if n := st.DirEntryEvictions - de; n > 0 {
-					ring.Emit(flight.Event{Seq: seq, Block: r.block, Arg: uint32(n), Track: tracks[ei], Cache: int16(r.cache), Kind: flight.KindDirOverflow})
-				}
-			}
-			processed++
-			i++
-			if processed == warmup {
-				for _, s := range engines {
-					s.eng.ResetStats()
-				}
-			}
-			continue
-		}
-		// Plain stretch: up to the next sample point, the warm-up
-		// boundary or the end of the batch, exactly applyBatch's loop.
+		seq := uint64(g.processed)
 		end := len(batch)
-		if nextSample != ^uint64(0) && uint64(end-i) > nextSample-seq {
-			end = i + int(nextSample-seq)
-		}
-		if warmup > processed && warmup-processed < end-i {
-			end = i + (warmup - processed)
-		}
-		for _, r := range batch[i:end] {
-			for _, s := range engines {
-				if s.idx != nil {
-					s.idx.AccessID(r.cache, r.kind, r.block, r.id, r.first)
-				} else {
-					s.eng.Access(r.cache, r.kind, r.block, r.first)
+		if seq == next {
+			next += tr.sample
+			g.record(&batch[i], seq)
+			end = i + 1
+		} else {
+			if next-seq < uint64(end-i) {
+				end = i + int(next-seq)
+			}
+			if warmup > g.processed && warmup-g.processed < end-i {
+				end = i + warmup - g.processed
+			}
+			for j := i; j < end; j++ {
+				r := &batch[j]
+				for _, s := range g.slots {
+					if s.idx != nil {
+						s.idx.AccessID(int(r.cache), r.kind, r.block, r.id, r.first)
+					} else {
+						s.eng.Access(int(r.cache), r.kind, r.block, r.first)
+					}
 				}
 			}
 		}
-		processed += end - i
+		g.processed += end - i
 		i = end
-		if processed == warmup {
-			for _, s := range engines {
-				s.eng.ResetStats()
+		if g.processed == warmup {
+			resetStats(g.slots)
+		}
+	}
+	if tr != nil && tr.spans && len(batch) > 0 {
+		for _, t := range g.tracks {
+			span(g.ring, t, tr.simID, start, len(batch))
+		}
+	}
+}
+
+// record applies one sampled reference, recording its Table 4
+// classification on each engine's track plus any directory protocol
+// actions the access triggered — derived by diffing the engine's own Stats
+// counters around the call, so the engines themselves are untouched and
+// their tallies provably unchanged.
+func (g *engineGroup) record(r *decodedRef, seq uint64) {
+	for ei, s := range g.slots {
+		st := s.eng.Stats()
+		before := protocolCounts(st)
+		var typ events.Type
+		if s.idx != nil {
+			typ = s.idx.AccessID(int(r.cache), r.kind, r.block, r.id, r.first)
+		} else {
+			typ = s.eng.Access(int(r.cache), r.kind, r.block, r.first)
+		}
+		ev := flight.Event{Seq: seq, Block: r.block, Track: g.tracks[ei], Cache: int16(r.cache), Kind: flight.Kind(typ)}
+		g.ring.Emit(ev)
+		for k, n := range protocolCounts(st) {
+			if n -= before[k]; n > 0 {
+				ev.Arg, ev.Kind = uint32(n), protocolKinds[k]
+				g.ring.Emit(ev)
 			}
 		}
 	}
-	if tr.spans && len(batch) > 0 {
-		for _, t := range tracks {
-			ring.Emit(flight.Event{Seq: start, Dur: spanDur(uint64(len(batch))), Track: t, Cache: -1, Kind: flight.KindSpan, Arg: tr.simID})
-		}
-	}
-	return processed
+}
+
+// protocolKinds are the flight kinds of the directory actions that
+// protocolCounts tallies, in the same order.
+var protocolKinds = [...]flight.Kind{flight.KindInval, flight.KindBroadcast, flight.KindPointerEviction, flight.KindDirOverflow}
+
+func protocolCounts(st *coherence.Stats) [len(protocolKinds)]uint64 {
+	return [...]uint64{st.DirectedInvals, st.BroadcastInvals, st.PointerEvictions, st.DirEntryEvictions}
 }
 
 // Run streams rd through every engine and returns one Result per engine,
 // in order. All engines must have the same cache count, and the trace
 // must fit within it. The context cancels the run between batches; with
 // opts.Parallel > 1 the engines run on worker goroutines, with results
-// identical to the sequential path.
+// identical to the inline path.
 func Run(ctx context.Context, rd trace.Reader, engines []coherence.Engine, opts Options) ([]Result, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -579,14 +524,19 @@ func Run(ctx context.Context, rd trace.Reader, engines []coherence.Engine, opts 
 	d := newDecoder(rd, caches, opts)
 	slots := bindEngines(engines, d.tab)
 	tr := newRunTrace(opts.Recorder, engines)
+	var total int
 	var err error
-	if opts.workers(len(engines)) > 1 {
-		err = runParallel(ctx, d, slots, opts, tr)
+	if tr == nil && d.sr != nil && len(slots) == 1 && slots[0].idx != nil {
+		total, err = runFusedSingle(ctx, d, slots[0].idx, opts)
 	} else {
-		err = runSequential(ctx, d, slots, opts, tr)
+		total, err = runBatched(ctx, d, slots, opts, tr)
 	}
 	if err != nil {
 		return nil, err
+	}
+	if total < opts.WarmupRefs {
+		// The trace ended inside the warm-up window: nothing measured.
+		resetStats(slots)
 	}
 	results := make([]Result, len(engines))
 	for i, e := range engines {
@@ -598,227 +548,186 @@ func Run(ctx context.Context, rd trace.Reader, engines []coherence.Engine, opts 
 	return results, nil
 }
 
-// runSequential is the classic driver: decode a batch, feed every engine
-// in lockstep, repeat.
-func runSequential(ctx context.Context, d *decoder, engines []engineSlot, opts Options, tr *runTrace) error {
-	if tr == nil && d.sr != nil && len(engines) == 1 && engines[0].idx != nil {
-		return runFusedSingle(ctx, d, engines[0].idx, opts)
-	}
-	var ring *flight.Ring
-	var tracks []uint16
-	if tr != nil {
-		ring = tr.rec.NewRing()
-		tracks = tr.tracks
-	}
-	buf := make([]decodedRef, 0, batchRefs)
-	processed := 0
+// drive is the driver's one decode loop: it checks cancellation, takes the
+// next chunk, hands it to apply with the ordinal of its first reference
+// and reports progress, until the trace ends. It returns the number of
+// references applied; those read before a reader error are applied first.
+func drive(ctx context.Context, d *decoder, opts Options, apply func(refs []trace.Ref, seq int) error) (int, error) {
+	total := 0
 	for {
 		if err := ctx.Err(); err != nil {
-			return err
+			return total, err
 		}
-		batch, err := d.nextBatch(buf)
-		if err != nil && err != io.EOF {
-			return err
+		refs, rerr := d.take()
+		if len(refs) > 0 {
+			if err := apply(refs, total); err != nil {
+				return total, err
+			}
+			total += len(refs)
+			if opts.OnProgress != nil {
+				opts.OnProgress(len(refs))
+			}
 		}
-		if tr != nil && tr.spans && len(batch) > 0 {
-			ring.Emit(flight.Event{Seq: uint64(processed), Dur: spanDur(uint64(len(batch))), Track: tr.driver, Cache: -1, Kind: flight.KindSpan, Arg: tr.decodeID})
+		if rerr == io.EOF {
+			return total, nil
 		}
-		processed = applyBatchTraced(batch, engines, tracks, tr, ring, opts.WarmupRefs, processed)
-		if opts.OnProgress != nil && len(batch) > 0 {
-			opts.OnProgress(len(batch))
-		}
-		if err == io.EOF {
-			break
-		}
-	}
-	if processed < opts.WarmupRefs {
-		// The trace ended inside the warm-up window: nothing measured.
-		for _, s := range engines {
-			s.eng.ResetStats()
+		if rerr != nil {
+			return total, rerr
 		}
 	}
-	return nil
 }
 
-// runFusedSingle is runSequential specialised for one id-indexed engine
-// over an in-memory trace with no recorder attached: each reference is
-// decoded and applied in the same loop iteration, never materialised into
-// a decodedRef batch. The single-scheme run is the per-reference cost the
-// data-oriented core is measured on, and the batch round-trip (a store
-// and reload of every decoded reference) is a measurable slice of it.
-// Warm-up, progress and cancellation behave exactly as the batched path:
-// chunks of batchRefs references, split once at the warm-up boundary.
-func runFusedSingle(ctx context.Context, d *decoder, eng coherence.IndexedEngine, opts Options) error {
-	byProcess := d.opts.CacheBy == ByProcess
-	include := d.opts.IncludeFirstRefCosts
-	apply := func(refs []trace.Ref) error {
-		// Instruction fetches change no protocol state and contribute
-		// only commutative sums, so they are counted here and flushed as
-		// one AccessInstrs call per chunk (chunks never span a warm-up
-		// boundary — runFusedSingle splits there first).
-		instrs := uint64(0)
-		for i := range refs {
-			ref := &refs[i]
-			var c int
-			if byProcess {
-				// The map update must run for instruction fetches too:
-				// process-to-cache assignment is by order of first
-				// appearance in the full stream.
-				var ok bool
-				c, ok = d.pidToCache[ref.PID]
-				if !ok {
-					c = len(d.pidToCache)
-					d.pidToCache[ref.PID] = c
-				}
-			} else {
-				c = int(ref.CPU)
-			}
-			if c >= d.caches {
-				return fmt.Errorf("sim: reference needs cache %d but engines have %d caches", c, d.caches)
-			}
-			if ref.Kind == trace.Instr {
-				instrs++
-				continue
-			}
-			block := ref.Addr >> d.blockShift
-			id, fresh := d.tab.Intern(block)
-			eng.AccessID(c, ref.Kind, block, id, fresh && !include)
-		}
-		if instrs > 0 {
-			eng.AccessInstrs(instrs)
-		}
-		return nil
-	}
-	processed := 0
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		chunk := d.sr.Take(batchRefs)
-		n := len(chunk)
-		if w := opts.WarmupRefs; w > processed && w <= processed+n {
-			if err := apply(chunk[:w-processed]); err != nil {
-				return err
-			}
-			eng.ResetStats()
-			chunk = chunk[w-processed:]
-		}
-		if err := apply(chunk); err != nil {
-			return err
-		}
-		processed += n
-		if opts.OnProgress != nil && n > 0 {
-			opts.OnProgress(n)
-		}
-		if n < batchRefs {
-			break
-		}
-	}
-	if processed < opts.WarmupRefs {
-		// The trace ended inside the warm-up window: nothing measured.
-		eng.ResetStats()
-	}
-	return nil
+// fanBatch is one reusable batch buffer. Under fan-out, pending counts the
+// workers that have yet to apply it; the last one returns it to the pool.
+type fanBatch struct {
+	refs    []decodedRef
+	pending atomic.Int32
 }
 
-// runParallel decodes on the calling goroutine and fans each batch out to
-// a bounded set of workers, each owning a contiguous group of engines.
-// Batches arrive on every worker's channel in decode order, so each
-// engine processes the full stream in order and accumulates exactly the
-// same Stats as under runSequential.
-func runParallel(ctx context.Context, d *decoder, engines []engineSlot, opts Options, tr *runTrace) error {
+// fanDepth is how many batches each worker may have queued. The fan-out
+// pool holds two more — the slowest worker's current batch and the one
+// being decoded — so the decoder runs as far ahead of the slowest worker
+// as a queue of fanDepth allows.
+const fanDepth = 4
+
+// runBatched is the batched driver: each chunk is decoded into a pooled
+// buffer and handed to every engine group, inline for one group or to one
+// worker goroutine per group. Every worker sees the batches in decode
+// order, so each engine's Stats are the same however many workers run.
+func runBatched(ctx context.Context, d *decoder, engines []engineSlot, opts Options, tr *runTrace) (int, error) {
 	workers := opts.workers(len(engines))
-	chans := make([]chan []decodedRef, workers)
-	var drvRing *flight.Ring
-	if tr != nil {
-		drvRing = tr.rec.NewRing()
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		// Contiguous engine groups: the first len%workers groups take one
+	groups := make([]engineGroup, workers)
+	for w := range groups {
+		// Contiguous engine groups: the last len%workers groups take one
 		// extra engine.
 		lo := w * len(engines) / workers
 		hi := (w + 1) * len(engines) / workers
-		ch := make(chan []decodedRef, 4)
-		chans[w] = ch
-		var ring *flight.Ring
-		var tracks []uint16
+		g := &groups[w]
+		g.slots = engines[lo:hi]
 		if tr != nil {
 			// One ring per worker keeps emission single-writer.
-			ring = tr.rec.NewRing()
-			tracks = tr.tracks[lo:hi]
+			g.ring = tr.rec.NewRing()
+			g.tracks = tr.tracks[lo:hi]
 		}
-		wg.Add(1)
-		go func(group []engineSlot, tracks []uint16, ring *flight.Ring) {
-			defer wg.Done()
-			processed := 0
-			for batch := range ch {
-				processed = applyBatchTraced(batch, group, tracks, tr, ring, opts.WarmupRefs, processed)
-			}
-		}(engines[lo:hi], tracks, ring)
 	}
-	var err error
-	total := 0
-decode:
-	for {
-		if cerr := ctx.Err(); cerr != nil {
-			err = cerr
-			break
-		}
-		// Workers read batches concurrently, so each batch needs its own
-		// backing array.
-		batch, derr := d.nextBatch(make([]decodedRef, 0, batchRefs))
-		if derr != nil && derr != io.EOF {
-			err = derr
-			break
-		}
-		if len(batch) > 0 {
-			if tr != nil && tr.spans {
-				drvRing.Emit(flight.Event{Seq: uint64(total), Dur: spanDur(uint64(len(batch))), Track: tr.driver, Cache: -1, Kind: flight.KindSpan, Arg: tr.decodeID})
-			}
-			for _, ch := range chans {
-				select {
-				case ch <- batch:
-				case <-ctx.Done():
-					err = ctx.Err()
-					break decode
+	// Fanned out, the decoder is a ring writer of its own.
+	drvRing := groups[0].ring
+	if tr != nil && workers > 1 {
+		drvRing = tr.rec.NewRing()
+	}
+	pool := 1
+	if workers > 1 {
+		pool = fanDepth + 2
+	}
+	free := make(chan *fanBatch, pool)
+	for len(free) < pool {
+		free <- &fanBatch{refs: make([]decodedRef, 0, batchRefs)}
+	}
+	var queues []chan *fanBatch
+	var wg sync.WaitGroup
+	for w := 0; workers > 1 && w < workers; w++ {
+		g := &groups[w]
+		q := make(chan *fanBatch, pool)
+		queues = append(queues, q)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for b := range q {
+				g.apply(b.refs, tr, opts.WarmupRefs)
+				if b.pending.Add(-1) == 0 {
+					free <- b
 				}
 			}
-			total += len(batch)
-			if opts.OnProgress != nil {
-				opts.OnProgress(len(batch))
-			}
-		}
-		if derr == io.EOF {
-			break
-		}
+		}()
 	}
-	for _, ch := range chans {
-		close(ch)
+
+	total, err := drive(ctx, d, opts, func(refs []trace.Ref, seq int) error {
+		var b *fanBatch
+		select {
+		case b = <-free:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+		batch, err := d.decode(refs, b.refs)
+		if err != nil {
+			return err
+		}
+		if tr != nil && tr.spans {
+			span(drvRing, tr.driver, tr.decodeID, uint64(seq), len(batch))
+		}
+		b.refs = batch
+		if workers == 1 {
+			groups[0].apply(batch, tr, opts.WarmupRefs)
+			free <- b
+			return nil
+		}
+		// Queues hold as many batches as the pool, so these sends never
+		// block.
+		b.pending.Store(int32(workers))
+		for _, q := range queues {
+			q <- b
+		}
+		return nil
+	})
+	for _, q := range queues {
+		close(q)
 	}
 	wg.Wait()
-	if tr != nil && tr.spans && total > 0 {
+	if tr != nil && tr.spans && workers > 1 && total > 0 {
 		// One span covering the whole fan-out on the driver track.
-		drvRing.Emit(flight.Event{Seq: 0, Dur: spanDur(uint64(total)), Track: tr.driver, Cache: -1, Kind: flight.KindSpan, Arg: tr.fanoutID})
+		span(drvRing, tr.driver, tr.fanoutID, 0, total)
 	}
-	if err != nil {
-		return err
-	}
-	if total < opts.WarmupRefs {
-		for _, s := range engines {
-			s.eng.ResetStats()
+	return total, err
+}
+
+// runFusedSingle is the driver specialised for one id-indexed engine over
+// an in-memory trace with no recorder attached: each reference is decoded
+// and applied in the same loop iteration, never materialised into a
+// decodedRef batch, whose store and reload is a measurable slice of the
+// single-scheme per-reference cost (DESIGN.md §9). A chunk is split once
+// at the warm-up boundary.
+func runFusedSingle(ctx context.Context, d *decoder, eng coherence.IndexedEngine, opts Options) (int, error) {
+	return drive(ctx, d, opts, func(refs []trace.Ref, seq int) error {
+		if w := opts.WarmupRefs - seq; w > 0 && w <= len(refs) {
+			if err := d.applyFused(refs[:w], eng); err != nil {
+				return err
+			}
+			eng.ResetStats()
+			refs = refs[w:]
 		}
+		return d.applyFused(refs, eng)
+	})
+}
+
+// applyFused decodes and applies one chunk for runFusedSingle.
+// Instruction fetches change no protocol state and contribute only
+// commutative sums, so they are counted here and flushed as one
+// AccessInstrs call per chunk (chunks never span a warm-up boundary —
+// runFusedSingle splits there first).
+func (d *decoder) applyFused(refs []trace.Ref, eng coherence.IndexedEngine) error {
+	instrs := uint64(0)
+	for i := range refs {
+		ref := &refs[i]
+		c, err := d.cacheOf(ref)
+		if err != nil {
+			return err
+		}
+		if ref.Kind == trace.Instr {
+			instrs++
+			continue
+		}
+		block := ref.Addr >> d.blockShift
+		id, fresh := d.tab.Intern(block)
+		eng.AccessID(c, ref.Kind, block, id, fresh && !d.include)
+	}
+	if instrs > 0 {
+		eng.AccessInstrs(instrs)
 	}
 	return nil
 }
 
-// RunSchemes builds the named engines and runs rd through them. With
-// opts.Partition > 1 the run is address-partitioned instead: see
-// Options.Partition.
+// RunSchemes builds the named engines and runs rd through them.
 func RunSchemes(ctx context.Context, rd trace.Reader, names []string, cfg coherence.Config, opts Options) ([]Result, error) {
-	if opts.Partition > 1 {
-		return runPartitionedSchemes(ctx, rd, names, cfg, opts)
-	}
 	engines := make([]coherence.Engine, len(names))
 	for i, n := range names {
 		e, err := coherence.NewByName(n, cfg)
@@ -828,165 +737,6 @@ func RunSchemes(ctx context.Context, rd trace.Reader, names []string, cfg cohere
 		engines[i] = e
 	}
 	return Run(ctx, rd, engines, opts)
-}
-
-// shardMsg is one partitioned work item: the shard's slice of a decoded
-// batch, plus a marker that the global warm-up boundary falls right after
-// these references (the shard must reset its tallies before continuing).
-type shardMsg struct {
-	refs  []decodedRef
-	reset bool
-}
-
-// runPartitionedSchemes is the address-partitioned driver: P instances of
-// every scheme, block ids sharded id mod P, instruction references to
-// shard 0 (they carry no block). With infinite caches and an unbounded
-// directory every engine's transition for a block reads and writes only
-// that block's state, so shard-local simulation composes exactly: merging
-// the P instances' Stats with Combine reproduces the sequential run's
-// tallies bit for bit (asserted by TestPartitionMatchesSequential).
-func runPartitionedSchemes(ctx context.Context, rd trace.Reader, names []string, cfg coherence.Config, opts Options) ([]Result, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	if len(names) == 0 {
-		return nil, fmt.Errorf("sim: no engines")
-	}
-	if cfg.Finite() || cfg.DirEntries > 0 {
-		return nil, fmt.Errorf("sim: Partition requires infinite caches and an unbounded directory (replacement couples blocks across shards)")
-	}
-	if opts.Recorder != nil && opts.Recorder.Enabled() {
-		return nil, fmt.Errorf("sim: Partition cannot be combined with a flight recorder")
-	}
-	p := opts.Partition
-	d := newDecoder(rd, cfg.Caches, opts)
-	insts := make([][]engineSlot, p)
-	for s := 0; s < p; s++ {
-		slots := make([]engineSlot, len(names))
-		for i, n := range names {
-			e, err := coherence.NewByName(n, cfg)
-			if err != nil {
-				return nil, err
-			}
-			ie, ok := e.(coherence.IndexedEngine)
-			if !ok || !ie.BindBlocks(d.tab) {
-				return nil, fmt.Errorf("sim: scheme %s does not support indexed access", n)
-			}
-			slots[i] = engineSlot{eng: e, idx: ie}
-		}
-		insts[s] = slots
-	}
-	chans := make([]chan shardMsg, p)
-	var wg sync.WaitGroup
-	for s := 0; s < p; s++ {
-		ch := make(chan shardMsg, 4)
-		chans[s] = ch
-		wg.Add(1)
-		go func(slots []engineSlot) {
-			defer wg.Done()
-			for msg := range ch {
-				for _, r := range msg.refs {
-					for _, sl := range slots {
-						sl.idx.AccessID(r.cache, r.kind, r.block, r.id, r.first)
-					}
-				}
-				if msg.reset {
-					for _, sl := range slots {
-						sl.eng.ResetStats()
-					}
-				}
-			}
-		}(insts[s])
-	}
-	var err error
-	total := 0
-decode:
-	for {
-		if cerr := ctx.Err(); cerr != nil {
-			err = cerr
-			break
-		}
-		batch, derr := d.nextBatch(make([]decodedRef, 0, batchRefs))
-		if derr != nil && derr != io.EOF {
-			err = derr
-			break
-		}
-		if len(batch) > 0 {
-			// If the global warm-up boundary falls inside this batch,
-			// split there: each shard processes its pre-boundary refs,
-			// resets, then continues — the same point in the global
-			// stream where the sequential driver resets.
-			split := -1
-			if w := opts.WarmupRefs; w > total && w <= total+len(batch) {
-				split = w - total
-			}
-			segments := [][2]int{{0, len(batch)}}
-			if split >= 0 {
-				segments = [][2]int{{0, split}, {split, len(batch)}}
-			}
-			for si, seg := range segments {
-				reset := split >= 0 && si == 0
-				shards := make([][]decodedRef, p)
-				for _, r := range batch[seg[0]:seg[1]] {
-					s := 0
-					if r.kind != trace.Instr {
-						s = int(r.id) % p
-					}
-					shards[s] = append(shards[s], r)
-				}
-				for s, ch := range chans {
-					if len(shards[s]) == 0 && !reset {
-						continue
-					}
-					select {
-					case ch <- shardMsg{refs: shards[s], reset: reset}:
-					case <-ctx.Done():
-						err = ctx.Err()
-						break decode
-					}
-				}
-			}
-			total += len(batch)
-			if opts.OnProgress != nil {
-				opts.OnProgress(len(batch))
-			}
-		}
-		if derr == io.EOF {
-			break
-		}
-	}
-	for _, ch := range chans {
-		close(ch)
-	}
-	wg.Wait()
-	if err != nil {
-		return nil, err
-	}
-	if total < opts.WarmupRefs {
-		// The trace ended inside the warm-up window: nothing measured.
-		for _, slots := range insts {
-			for _, sl := range slots {
-				sl.eng.ResetStats()
-			}
-		}
-	}
-	results := make([]Result, len(names))
-	for i := range names {
-		parts := make([]Result, p)
-		for s := 0; s < p; s++ {
-			e := insts[s][i].eng
-			parts[s] = Result{Scheme: e.Name(), Stats: e.Stats()}
-			if adj, ok := e.(coherence.ModelAdjuster); ok {
-				parts[s].adjust = adj.AdjustModel
-			}
-		}
-		combined, cerr := Combine(parts)
-		if cerr != nil {
-			return nil, cerr
-		}
-		results[i] = combined
-	}
-	return results, nil
 }
 
 // Combine merges per-trace results for the same scheme into one aggregate,
