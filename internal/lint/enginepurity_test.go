@@ -8,8 +8,7 @@ import (
 // The fixtures live at dirsim/internal/coherence because the rule anchors
 // on the Engine interface declared there.
 
-func TestEnginePurityFlagsDirtyAccessPath(t *testing.T) {
-	src := `package coherence
+var enginePurityDirty = fixture{name: "enginepurity-dirty", path: "dirsim/internal/coherence", src: `package coherence
 import "time"
 type Engine interface {
 	Access(c int, block uint64) int
@@ -28,8 +27,10 @@ func (e *Dirty) helper(n int) int {
 	s := make([]int, n)
 	return len(s)
 }
-`
-	fs := lintSrc(t, "dirsim/internal/coherence", src, nil, EnginePurityRule{})
+`}
+
+func TestEnginePurityFlagsDirtyAccessPath(t *testing.T) {
+	fs := lintFixture(t, enginePurityDirty, EnginePurityRule{})
 	if len(fs) != 4 {
 		t.Fatalf("got %d findings, want 4 (fresh append, clock, map range, helper make): %v", len(fs), fs)
 	}
@@ -40,8 +41,7 @@ func (e *Dirty) helper(n int) int {
 	}
 }
 
-func TestEnginePurityAllowsAmortizedGrowth(t *testing.T) {
-	src := `package coherence
+var enginePurityAmortized = fixture{name: "enginepurity-amortized", path: "dirsim/internal/coherence", src: `package coherence
 type Engine interface {
 	Access(c int, block uint64) int
 }
@@ -64,15 +64,16 @@ func (e *Clean) ensure(block uint64) *state {
 	e.blocks[block] = bs
 	return bs
 }
-`
-	fs := lintSrc(t, "dirsim/internal/coherence", src, nil, EnginePurityRule{})
+`}
+
+func TestEnginePurityAllowsAmortizedGrowth(t *testing.T) {
+	fs := lintFixture(t, enginePurityAmortized, EnginePurityRule{})
 	if len(fs) != 0 {
 		t.Fatalf("first-touch/amortized growth should pass: %v", fs)
 	}
 }
 
-func TestEnginePurityFlagsClosureAndSpawn(t *testing.T) {
-	src := `package coherence
+var enginePuritySpawn = fixture{name: "enginepurity-spawn", path: "dirsim/internal/coherence", src: `package coherence
 type Engine interface {
 	Access(c int, block uint64) int
 }
@@ -81,8 +82,10 @@ func (e *Spawny) Access(c int, block uint64) int {
 	go func() { e.sink <- c }()
 	return c
 }
-`
-	fs := lintSrc(t, "dirsim/internal/coherence", src, nil, EnginePurityRule{})
+`}
+
+func TestEnginePurityFlagsClosureAndSpawn(t *testing.T) {
+	fs := lintFixture(t, enginePuritySpawn, EnginePurityRule{})
 	var kinds []string
 	for _, f := range fs {
 		kinds = append(kinds, f.Msg)
@@ -96,10 +99,9 @@ func (e *Spawny) Access(c int, block uint64) int {
 	}
 }
 
-func TestEnginePurityResolvesStoreDispatch(t *testing.T) {
-	// An allocation inside an interface implementation the engine calls
-	// must be attributed to the engine's hot path.
-	src := `package coherence
+// An allocation inside an interface implementation the engine calls
+// must be attributed to the engine's hot path.
+var enginePurityStoreDispatch = fixture{name: "enginepurity-store-dispatch", path: "dirsim/internal/coherence", src: `package coherence
 type Engine interface {
 	Access(c int, block uint64) int
 }
@@ -110,8 +112,10 @@ type Indirect struct{ store Store }
 func (e *Indirect) Access(c int, block uint64) int {
 	return len(e.store.Targets(block))
 }
-`
-	fs := lintSrc(t, "dirsim/internal/coherence", src, nil, EnginePurityRule{})
+`}
+
+func TestEnginePurityResolvesStoreDispatch(t *testing.T) {
+	fs := lintFixture(t, enginePurityStoreDispatch, EnginePurityRule{})
 	if len(fs) != 1 || !strings.Contains(fs[0].Msg, "make") {
 		t.Fatalf("store allocation behind interface dispatch not attributed: %v", fs)
 	}

@@ -5,8 +5,7 @@ import (
 	"testing"
 )
 
-func TestHTTPServerRuleServerLiteral(t *testing.T) {
-	fire := `package fix
+var httpServerBare = fixture{name: "httpserver-server-bare", path: "dirsim/internal/fix", src: `package fix
 import (
 	"net/http"
 	"time"
@@ -18,14 +17,9 @@ func alsoBare() http.Server {
 	return http.Server{}
 }
 var _ = time.Second
-`
-	fs := lintSrc(t, "dirsim/internal/fix", fire, nil, HTTPServerRule{})
-	wantFindings(t, fs, HTTPServerRule{}, 2)
-	if !strings.Contains(fs[0].Msg, "ReadHeaderTimeout") {
-		t.Errorf("finding should name the missing field, got %v", fs[0])
-	}
+`}
 
-	silent := `package fix
+var httpServerBounded = fixture{name: "httpserver-server-bounded", path: "dirsim/internal/fix", src: `package fix
 import (
 	"net/http"
 	"time"
@@ -37,12 +31,19 @@ type notAServer struct{ Addr string }
 func other() notAServer {
 	return notAServer{Addr: ":8080"}
 }
-`
-	wantFindings(t, lintSrc(t, "dirsim/internal/fix", silent, nil, HTTPServerRule{}), HTTPServerRule{}, 0)
+`}
+
+func TestHTTPServerRuleServerLiteral(t *testing.T) {
+	fs := lintFixture(t, httpServerBare, HTTPServerRule{})
+	wantFindings(t, fs, HTTPServerRule{}, 2)
+	if !strings.Contains(fs[0].Msg, "ReadHeaderTimeout") {
+		t.Errorf("finding should name the missing field, got %v", fs[0])
+	}
+
+	wantFindings(t, lintFixture(t, httpServerBounded, HTTPServerRule{}), HTTPServerRule{}, 0)
 }
 
-func TestHTTPServerRuleOutboundClient(t *testing.T) {
-	fire := `package fix
+var httpClientNaked = fixture{name: "httpserver-client-naked", path: "dirsim/internal/fix", src: `package fix
 import "net/http"
 func naked() *http.Client {
 	return &http.Client{}
@@ -56,14 +57,9 @@ func helper() {
 	http.Head("http://example.invalid/")
 	http.PostForm("http://example.invalid/", nil)
 }
-`
-	fs := lintSrc(t, "dirsim/internal/fix", fire, nil, HTTPServerRule{})
-	wantFindings(t, fs, HTTPServerRule{}, 6)
-	if !strings.Contains(fs[0].Msg, "Timeout") {
-		t.Errorf("finding should name the missing deadline, got %v", fs[0])
-	}
+`}
 
-	silent := `package fix
+var httpClientBounded = fixture{name: "httpserver-client-bounded", path: "dirsim/internal/fix", src: `package fix
 import (
 	"net/http"
 	"time"
@@ -86,12 +82,19 @@ func okNames() {
 	_, _ = c.Get("http://example.invalid/")
 	_ = http.StatusOK
 }
-`
-	wantFindings(t, lintSrc(t, "dirsim/internal/fix", silent, nil, HTTPServerRule{}), HTTPServerRule{}, 0)
+`}
+
+func TestHTTPServerRuleOutboundClient(t *testing.T) {
+	fs := lintFixture(t, httpClientNaked, HTTPServerRule{})
+	wantFindings(t, fs, HTTPServerRule{}, 6)
+	if !strings.Contains(fs[0].Msg, "Timeout") {
+		t.Errorf("finding should name the missing deadline, got %v", fs[0])
+	}
+
+	wantFindings(t, lintFixture(t, httpClientBounded, HTTPServerRule{}), HTTPServerRule{}, 0)
 }
 
-func TestHTTPServerRuleHandlerGoroutine(t *testing.T) {
-	fire := `package fix
+var httpHandlerSpawn = fixture{name: "httpserver-handler-spawn", path: "dirsim/internal/fix", src: `package fix
 import "net/http"
 func audit(s string) {}
 func handler(w http.ResponseWriter, r *http.Request) {
@@ -105,14 +108,9 @@ func register() {
 		}()
 	})
 }
-`
-	fs := lintSrc(t, "dirsim/internal/fix", fire, nil, HTTPServerRule{})
-	wantFindings(t, fs, HTTPServerRule{}, 2)
-	if !strings.Contains(fs[0].Msg, "context") {
-		t.Errorf("finding should mention the missing context, got %v", fs[0])
-	}
+`}
 
-	silent := `package fix
+var httpHandlerContext = fixture{name: "httpserver-handler-context", path: "dirsim/internal/fix", src: `package fix
 import (
 	"context"
 	"net/http"
@@ -133,6 +131,14 @@ func notAHandler(a string, b int) {
 	// Goroutines outside handler signatures are another rule's business.
 	go func() {}()
 }
-`
-	wantFindings(t, lintSrc(t, "dirsim/internal/fix", silent, nil, HTTPServerRule{}), HTTPServerRule{}, 0)
+`}
+
+func TestHTTPServerRuleHandlerGoroutine(t *testing.T) {
+	fs := lintFixture(t, httpHandlerSpawn, HTTPServerRule{})
+	wantFindings(t, fs, HTTPServerRule{}, 2)
+	if !strings.Contains(fs[0].Msg, "context") {
+		t.Errorf("finding should mention the missing context, got %v", fs[0])
+	}
+
+	wantFindings(t, lintFixture(t, httpHandlerContext, HTTPServerRule{}), HTTPServerRule{}, 0)
 }

@@ -46,13 +46,47 @@ func (m *memImporter) Import(path string) (*types.Package, error) {
 // path (module "dirsim") and applies a single rule to it.
 func lintSrc(t *testing.T, path, src string, deps map[string]string, r Rule) []Finding {
 	t.Helper()
-	fset := token.NewFileSet()
+	return Run([]*Package{loadSrc(t, path, src, deps)}, []Rule{r})
+}
+
+// fixture is one rule test's input: a single-file package at a fake
+// module import path. Fixtures live in package variables so the hot-path
+// golden test (golden_test.go) can replay every one of them.
+type fixture struct {
+	name, path, src string
+}
+
+// at returns the same source placed at another import path.
+func (fx fixture) at(path string) fixture {
+	fx.path = path
+	return fx
+}
+
+// lintFixture applies a single rule to one fixture.
+func lintFixture(t *testing.T, fx fixture, r Rule) []Finding {
+	t.Helper()
+	return lintSrc(t, fx.path, fx.src, nil, r)
+}
+
+// Every fixture shares one file set and one stdlib source importer, so
+// each standard package is type-checked once per test binary rather than
+// once per fixture. No test in this package runs in parallel.
+var (
+	fixtureFset = token.NewFileSet()
+	stdImporter = importer.ForCompiler(fixtureFset, "source", nil)
+)
+
+// loadSrc type-checks one fixture source at the given fake module import
+// path (module "dirsim").
+func loadSrc(t *testing.T, path, src string, deps map[string]string) *Package {
+	t.Helper()
+	fset := fixtureFset
 	imp := &memImporter{
 		fset: fset,
 		deps: deps,
 		done: map[string]*types.Package{},
+		base: stdImporter,
 	}
-	imp.base = importer.ForCompiler(fset, "source", nil)
 	f, err := parser.ParseFile(fset, path+"/fix.go", src, 0)
 	if err != nil {
 		t.Fatalf("parse fixture: %v", err)
@@ -68,8 +102,7 @@ func lintSrc(t *testing.T, path, src string, deps map[string]string, r Rule) []F
 	if err != nil {
 		t.Fatalf("type-check fixture: %v", err)
 	}
-	p := &Package{Path: path, Module: "dirsim", Fset: fset, Files: []*ast.File{f}, Pkg: pkg, Info: info}
-	return Run([]*Package{p}, []Rule{r})
+	return &Package{Path: path, Module: "dirsim", Fset: fset, Files: []*ast.File{f}, Pkg: pkg, Info: info}
 }
 
 // wantFindings asserts the rule fired count times, all under its own name.
@@ -134,8 +167,7 @@ func h(m map[string]int) int {
 	wantFindings(t, lintSrc(t, "dirsim/internal/fix", silent, nil, MapOrderRule{}), MapOrderRule{}, 0)
 }
 
-func TestNondeterminismRule(t *testing.T) {
-	fire := `package fix
+var nondetermGlobal = fixture{name: "nondeterm-global", path: "dirsim/internal/fix", src: `package fix
 import (
 	"math/rand"
 	"time"
@@ -143,11 +175,9 @@ import (
 func f() (int, time.Time) {
 	return rand.Intn(6), time.Now()
 }
-`
-	fs := lintSrc(t, "dirsim/internal/fix", fire, nil, NondeterminismRule{})
-	wantFindings(t, fs, NondeterminismRule{}, 2)
+`}
 
-	silent := `package fix
+var nondetermSeeded = fixture{name: "nondeterm-seeded", path: "dirsim/internal/fix", src: `package fix
 import (
 	"math/rand"
 	"time"
@@ -157,11 +187,16 @@ func f(seed int64) int {
 	return rng.Intn(6)
 }
 func g(d time.Duration) time.Duration { return 2 * d }
-`
-	wantFindings(t, lintSrc(t, "dirsim/internal/fix", silent, nil, NondeterminismRule{}), NondeterminismRule{}, 0)
+`}
+
+func TestNondeterminismRule(t *testing.T) {
+	fs := lintFixture(t, nondetermGlobal, NondeterminismRule{})
+	wantFindings(t, fs, NondeterminismRule{}, 2)
+
+	wantFindings(t, lintFixture(t, nondetermSeeded, NondeterminismRule{}), NondeterminismRule{}, 0)
 
 	// The rule is scoped to internal packages: a command may read the clock.
-	wantFindings(t, lintSrc(t, "dirsim/cmd/fix", fire, nil, NondeterminismRule{}), NondeterminismRule{}, 0)
+	wantFindings(t, lintFixture(t, nondetermGlobal.at("dirsim/cmd/fix"), NondeterminismRule{}), NondeterminismRule{}, 0)
 }
 
 func TestFloatEqRule(t *testing.T) {
@@ -322,8 +357,7 @@ func EngineNames() []string { return []string{"x"} }
 	wantFindings(t, lintSrc(t, "dirsim/internal/fix", other, nil, EngineRegistryRule{}), EngineRegistryRule{}, 0)
 }
 
-func TestGoCaptureRule(t *testing.T) {
-	fire := `package fix
+var goCaptureAssign = fixture{name: "gocapture-assign", path: "dirsim/internal/fix", src: `package fix
 func f() int {
 	total := 0
 	done := make(chan bool)
@@ -335,11 +369,10 @@ func f() int {
 	<-done
 	return total
 }
-`
-	wantFindings(t, lintSrc(t, "dirsim/internal/fix", fire, nil, GoCaptureRule{}), GoCaptureRule{}, 2)
+`}
 
-	// The study worker pattern: parameters in, indexed slots out.
-	silent := `package fix
+// The study worker pattern: parameters in, indexed slots out.
+var goCaptureSlots = fixture{name: "gocapture-slots", path: "dirsim/internal/fix", src: `package fix
 import "sync"
 func g(xs []int) []int {
 	out := make([]int, len(xs))
@@ -355,15 +388,18 @@ func g(xs []int) []int {
 	wg.Wait()
 	return out
 }
-`
-	wantFindings(t, lintSrc(t, "dirsim/internal/fix", silent, nil, GoCaptureRule{}), GoCaptureRule{}, 0)
+`}
+
+func TestGoCaptureRule(t *testing.T) {
+	wantFindings(t, lintFixture(t, goCaptureAssign, GoCaptureRule{}), GoCaptureRule{}, 2)
+
+	wantFindings(t, lintFixture(t, goCaptureSlots, GoCaptureRule{}), GoCaptureRule{}, 0)
 }
 
-func TestGoPoolRule(t *testing.T) {
-	// Two unbounded fan-outs: a bare per-element spawn, and one whose
-	// semaphore is acquired inside the goroutine (which bounds nothing —
-	// every goroutine is already running by then).
-	fire := `package fix
+// Two unbounded fan-outs: a bare per-element spawn, and one whose
+// semaphore is acquired inside the goroutine (which bounds nothing —
+// every goroutine is already running by then).
+var goPoolUnbounded = fixture{name: "gopool-unbounded", path: "dirsim/internal/fix", src: `package fix
 import "sync"
 func f(xs []int) {
 	var wg sync.WaitGroup
@@ -388,12 +424,11 @@ func g(xs []int) {
 	}
 	wg.Wait()
 }
-`
-	wantFindings(t, lintSrc(t, "dirsim/internal/fix", fire, nil, GoPoolRule{}), GoPoolRule{}, 2)
+`}
 
-	// Sanctioned shapes: semaphore acquired before the spawn, a fixed
-	// worker pool (3-clause loop), and a range spawn with no WaitGroup.
-	silent := `package fix
+// Sanctioned shapes: semaphore acquired before the spawn, a fixed
+// worker pool (3-clause loop), and a range spawn with no WaitGroup.
+var goPoolBounded = fixture{name: "gopool-bounded", path: "dirsim/internal/fix", src: `package fix
 import "sync"
 func h(xs []int) {
 	var wg sync.WaitGroup
@@ -436,12 +471,16 @@ func fire(xs []int) {
 		<-done
 	}
 }
-`
-	wantFindings(t, lintSrc(t, "dirsim/internal/fix", silent, nil, GoPoolRule{}), GoPoolRule{}, 0)
+`}
+
+func TestGoPoolRule(t *testing.T) {
+	wantFindings(t, lintFixture(t, goPoolUnbounded, GoPoolRule{}), GoPoolRule{}, 2)
+
+	wantFindings(t, lintFixture(t, goPoolBounded, GoPoolRule{}), GoPoolRule{}, 0)
 
 	// The rule only polices the module's internal tree: package main in
 	// cmd/ may fan out freely.
-	wantFindings(t, lintSrc(t, "dirsim/cmd/fix", fire, nil, GoPoolRule{}), GoPoolRule{}, 0)
+	wantFindings(t, lintFixture(t, goPoolUnbounded.at("dirsim/cmd/fix"), GoPoolRule{}), GoPoolRule{}, 0)
 }
 
 // TestLoad exercises the module loader end to end on a scratch module.

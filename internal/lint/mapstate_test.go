@@ -8,8 +8,7 @@ import (
 // The fixtures live at dirsim/internal/coherence because the rule anchors
 // on the Engine interface declared there.
 
-func TestMapStateFlagsAddressKeyedFields(t *testing.T) {
-	src := `package coherence
+var mapStateFields = fixture{name: "mapstate-fields", path: "dirsim/internal/coherence", src: `package coherence
 type Engine interface {
 	Access(c int, block uint64) int
 }
@@ -27,8 +26,10 @@ func (e *Mappy) helper(block uint64) int {
 	}
 	return 0
 }
-`
-	fs := lintSrc(t, "dirsim/internal/coherence", src, nil, MapStateRule{})
+`}
+
+func TestMapStateFlagsAddressKeyedFields(t *testing.T) {
+	fs := lintFixture(t, mapStateFields, MapStateRule{})
 	if len(fs) != 2 {
 		t.Fatalf("got %d findings, want 2 (state, dirty): %v", len(fs), fs)
 	}
@@ -42,8 +43,7 @@ func (e *Mappy) helper(block uint64) int {
 	}
 }
 
-func TestMapStateAllowsArraysLocalsAndColdPaths(t *testing.T) {
-	src := `package coherence
+var mapStateClean = fixture{name: "mapstate-clean", path: "dirsim/internal/coherence", src: `package coherence
 type Engine interface {
 	Access(c int, block uint64) int
 }
@@ -61,15 +61,16 @@ func (e *Clean) Access(c int, block uint64) int {
 	return scratch[block]
 }
 func (e *Clean) Report() map[uint64]int { return e.report }
-`
-	fs := lintSrc(t, "dirsim/internal/coherence", src, nil, MapStateRule{})
+`}
+
+func TestMapStateAllowsArraysLocalsAndColdPaths(t *testing.T) {
+	fs := lintFixture(t, mapStateClean, MapStateRule{})
 	if len(fs) != 0 {
 		t.Fatalf("array state, local maps and cold paths should pass: %v", fs)
 	}
 }
 
-func TestMapStateIgnoresOtherKeyTypes(t *testing.T) {
-	src := `package coherence
+var mapStateOtherKeys = fixture{name: "mapstate-other-keys", path: "dirsim/internal/coherence", src: `package coherence
 type Engine interface {
 	Access(c int, block uint64) int
 }
@@ -80,8 +81,10 @@ type Keyed struct {
 func (e *Keyed) Access(c int, block uint64) int {
 	return e.byName["x"] + e.byPid[uint16(c)]
 }
-`
-	fs := lintSrc(t, "dirsim/internal/coherence", src, nil, MapStateRule{})
+`}
+
+func TestMapStateIgnoresOtherKeyTypes(t *testing.T) {
+	fs := lintFixture(t, mapStateOtherKeys, MapStateRule{})
 	if len(fs) != 0 {
 		t.Fatalf("only uint64-keyed state is per-block state: %v", fs)
 	}

@@ -5,8 +5,7 @@ import (
 	"testing"
 )
 
-func TestObsRingRuleFlagsHotPathAllocation(t *testing.T) {
-	fire := `package fix
+var obsRingEmitAppend = fixture{name: "obsring-emit-append", path: "dirsim/internal/flight", src: `package fix
 type Event struct{ Seq uint64 }
 type Ring struct {
 	buf []Event
@@ -18,18 +17,19 @@ func (r *Ring) Emit(e Event) {
 	r.buf[r.n%uint64(len(r.buf))] = e
 	r.n++
 }
-`
-	fs := lintSrc(t, "dirsim/internal/flight", fire, nil, ObsRingRule{})
+`}
+
+func TestObsRingRuleFlagsHotPathAllocation(t *testing.T) {
+	fs := lintFixture(t, obsRingEmitAppend, ObsRingRule{})
 	wantFindings(t, fs, ObsRingRule{}, 1)
 	if !strings.Contains(fs[0].Msg, "append") || !strings.Contains(fs[0].Msg, "Emit") {
 		t.Errorf("finding should name append and Emit, got %v", fs[0])
 	}
 }
 
-func TestObsRingRuleFollowsSamePackageCallees(t *testing.T) {
-	// Observe itself is clean, but a helper it calls allocates — the
-	// rule must walk the call graph.
-	fire := `package fix
+// Observe itself is clean, but a helper it calls allocates — the rule
+// must walk the call graph.
+var obsRingObserveGrow = fixture{name: "obsring-observe-grow", path: "dirsim/internal/obs", src: `package fix
 type Ring struct {
 	buf []uint64
 	n   uint64
@@ -44,16 +44,17 @@ func (r *Ring) Observe(v uint64) {
 	r.buf[r.n%uint64(len(r.buf))] = v
 	r.n++
 }
-`
-	fs := lintSrc(t, "dirsim/internal/obs", fire, nil, ObsRingRule{})
+`}
+
+func TestObsRingRuleFollowsSamePackageCallees(t *testing.T) {
+	fs := lintFixture(t, obsRingObserveGrow, ObsRingRule{})
 	wantFindings(t, fs, ObsRingRule{}, 1)
 	if !strings.Contains(fs[0].Msg, "grow") {
 		t.Errorf("finding should name the transitive callee grow, got %v", fs[0])
 	}
 }
 
-func TestObsRingRuleAllocationKinds(t *testing.T) {
-	fire := `package fix
+var obsRingAllocKinds = fixture{name: "obsring-alloc-kinds", path: "dirsim/internal/obs", src: `package fix
 type row struct{ v uint64 }
 type H struct {
 	rows  []row
@@ -68,15 +69,15 @@ func (h *H) Observe(v uint64) {
 	h.hook = func() {}            // closure
 	_ = new(row)                  // new
 }
-`
-	fs := lintSrc(t, "dirsim/internal/obs", fire, nil, ObsRingRule{})
-	wantFindings(t, fs, ObsRingRule{}, 5)
+`}
+
+func TestObsRingRuleAllocationKinds(t *testing.T) {
+	wantFindings(t, lintFixture(t, obsRingAllocKinds, ObsRingRule{}), ObsRingRule{}, 5)
 }
 
-func TestObsRingRuleGuardsOtraceSpans(t *testing.T) {
-	// Span Start/Finish are per-request hot paths: an allocating Finish
-	// would charge every fabric span a heap object.
-	fire := `package fix
+// Span Start/Finish are per-request hot paths: an allocating Finish would
+// charge every fabric span a heap object.
+var obsRingSpanFinish = fixture{name: "obsring-span-finish", path: "dirsim/internal/otrace", src: `package fix
 type Span struct{ Name string }
 type Store struct {
 	buf []Span
@@ -87,30 +88,34 @@ func (a Active) Finish() {
 	a.st.buf = append(a.st.buf, a.s) // allocation: ring must be preallocated
 	a.st.n++
 }
-`
-	fs := lintSrc(t, "dirsim/internal/otrace", fire, nil, ObsRingRule{})
+`}
+
+func TestObsRingRuleGuardsOtraceSpans(t *testing.T) {
+	fs := lintFixture(t, obsRingSpanFinish, ObsRingRule{})
 	wantFindings(t, fs, ObsRingRule{}, 1)
 	if !strings.Contains(fs[0].Msg, "Finish") {
 		t.Errorf("finding should name Finish, got %v", fs[0])
 	}
 }
 
+// obsRingEmitLog allocates in a method named Emit; it is placed in every
+// guarded package and outside them.
+var obsRingEmitLog = fixture{name: "obsring-emit-log", path: "dirsim/internal/flight", src: `package fix
+type Ring struct{ log []uint64 }
+func (r *Ring) Emit(v uint64) { r.log = append(r.log, v) }
+`}
+
 func TestObsRingRuleRootsArePerPackage(t *testing.T) {
 	// Emit is a hot-path root in internal/flight only; the same name in
 	// another guarded package is not a root there.
-	alloc := `package fix
-type Ring struct{ log []uint64 }
-func (r *Ring) Emit(v uint64) { r.log = append(r.log, v) }
-`
-	wantFindings(t, lintSrc(t, "dirsim/internal/obs", alloc, nil, ObsRingRule{}), ObsRingRule{}, 0)
-	wantFindings(t, lintSrc(t, "dirsim/internal/otrace", alloc, nil, ObsRingRule{}), ObsRingRule{}, 0)
-	wantFindings(t, lintSrc(t, "dirsim/internal/flight", alloc, nil, ObsRingRule{}), ObsRingRule{}, 1)
+	wantFindings(t, lintFixture(t, obsRingEmitLog.at("dirsim/internal/obs"), ObsRingRule{}), ObsRingRule{}, 0)
+	wantFindings(t, lintFixture(t, obsRingEmitLog.at("dirsim/internal/otrace"), ObsRingRule{}), ObsRingRule{}, 0)
+	wantFindings(t, lintFixture(t, obsRingEmitLog, ObsRingRule{}), ObsRingRule{}, 1)
 }
 
-func TestObsRingRuleSilent(t *testing.T) {
-	// Cold-path allocation (setup, export) and hot paths that only store
-	// are fine; so is any code outside the guarded packages.
-	clean := `package fix
+// Cold-path allocation (setup, export) and hot paths that only store are
+// fine.
+var obsRingClean = fixture{name: "obsring-clean", path: "dirsim/internal/flight", src: `package fix
 type Event struct{ Seq uint64 }
 type Ring struct {
 	buf []Event
@@ -126,14 +131,11 @@ func (r *Ring) Emit(e Event) {
 func (r *Ring) Events() []Event {
 	return append([]Event(nil), r.buf[:r.n]...)
 }
-`
-	wantFindings(t, lintSrc(t, "dirsim/internal/flight", clean, nil, ObsRingRule{}), ObsRingRule{}, 0)
+`}
 
-	alloc := `package fix
-type Ring struct{ log []uint64 }
-func (r *Ring) Emit(v uint64) { r.log = append(r.log, v) }
-`
+func TestObsRingRuleSilent(t *testing.T) {
+	wantFindings(t, lintFixture(t, obsRingClean, ObsRingRule{}), ObsRingRule{}, 0)
 	// Same shape outside the guarded packages: silent.
-	wantFindings(t, lintSrc(t, "dirsim/internal/sim", alloc, nil, ObsRingRule{}), ObsRingRule{}, 0)
-	wantFindings(t, lintSrc(t, "dirsim/cmd/fix", alloc, nil, ObsRingRule{}), ObsRingRule{}, 0)
+	wantFindings(t, lintFixture(t, obsRingEmitLog.at("dirsim/internal/sim"), ObsRingRule{}), ObsRingRule{}, 0)
+	wantFindings(t, lintFixture(t, obsRingEmitLog.at("dirsim/cmd/fix"), ObsRingRule{}), ObsRingRule{}, 0)
 }
