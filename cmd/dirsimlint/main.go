@@ -8,8 +8,6 @@
 //	dirsimlint -list                 show the rules
 //	dirsimlint -rules floateq ./...  run a subset of rules
 //	dirsimlint -format=sarif ./...   SARIF 2.1.0 for code scanning
-//	dirsimlint -baseline lint.json   filter out accepted findings
-//	dirsimlint -write-baseline lint.json ./...   accept current findings
 //	dirsimlint -mc                   explore every engine's state graph
 //	dirsimlint -mc -schemes dir1nb,moesi -blocks 2
 //
@@ -18,7 +16,8 @@
 //	//lint:ignore <rule> <reason>
 //
 // on the offending line or the line above it; a pragma that suppresses
-// nothing is itself reported, so stale ignores cannot accumulate.
+// nothing is itself reported, so stale ignores cannot accumulate. Under
+// -rules, only pragmas for the selected rules are judged.
 //
 // Exit codes: 0 when clean, 1 when findings or invariant violations are
 // reported, 2 when the module cannot be loaded (or the flags are
@@ -35,7 +34,6 @@ import (
 	"path/filepath"
 	"strings"
 
-	"dirsim/internal/atomicio"
 	"dirsim/internal/coherence"
 	"dirsim/internal/lint"
 	"dirsim/internal/mc"
@@ -57,14 +55,12 @@ func main() {
 	list := flag.Bool("list", false, "list the lint rules and exit")
 	dir := flag.String("C", ".", "directory inside the module to lint")
 	format := flag.String("format", "text", "output format: text, json or sarif")
-	baseline := flag.String("baseline", "", "baseline file of accepted findings to filter out")
-	writeBaseline := flag.String("write-baseline", "", "write current findings to this baseline file and exit clean")
 	flag.Parse()
 
 	os.Exit(run(os.Stdout, os.Stderr, options{
 		mcMode: *mcMode, schemes: *schemes, caches: *caches, blocks: *blocks,
 		rules: *rules, list: *list, dir: *dir, patterns: flag.Args(),
-		format: *format, baseline: *baseline, writeBaseline: *writeBaseline,
+		format: *format,
 	}))
 }
 
@@ -78,8 +74,6 @@ type options struct {
 	dir            string
 	patterns       []string
 	format         string
-	baseline       string
-	writeBaseline  string
 }
 
 // run executes one invocation and returns the process exit code.
@@ -107,7 +101,7 @@ func runE(w io.Writer, opts options) (int, error) {
 }
 
 // runLint loads the requested packages, applies the rules, honours
-// pragmas and the baseline, and renders the survivors.
+// pragmas, and renders the survivors.
 func runLint(w io.Writer, opts options) (int, error) {
 	rules, err := selectRules(opts.rules)
 	if err != nil {
@@ -118,10 +112,6 @@ func runLint(w io.Writer, opts options) (int, error) {
 	default:
 		return exitError, fmt.Errorf("unknown format %q (want text, json or sarif)", opts.format)
 	}
-	bl, err := lint.ReadBaseline(opts.baseline)
-	if err != nil {
-		return exitError, err
-	}
 	pkgs, err := lint.Load(opts.dir, opts.patterns...)
 	if err != nil {
 		return exitError, err
@@ -130,22 +120,8 @@ func runLint(w io.Writer, opts options) (int, error) {
 
 	findings := lint.Run(pkgs, rules)
 	pragmas, malformed := lint.CollectPragmas(pkgs)
-	findings = lint.Suppress(findings, pragmas)
-	findings = append(findings, malformed...)
-	findings = bl.Filter(findings, relFile)
+	findings = append(lint.Suppress(findings, pragmas, rules), malformed...)
 	lint.SortFindings(findings)
-
-	if opts.writeBaseline != "" {
-		data, err := lint.MarshalBaseline(findings, relFile)
-		if err != nil {
-			return exitError, err
-		}
-		if err := atomicio.WriteFile(opts.writeBaseline, data); err != nil {
-			return exitError, err
-		}
-		fmt.Fprintf(w, "wrote %d finding(s) to baseline %s\n", len(findings), opts.writeBaseline)
-		return exitClean, nil
-	}
 
 	switch opts.format {
 	case "json":
@@ -175,7 +151,8 @@ func runLint(w io.Writer, opts options) (int, error) {
 }
 
 // relativizer maps absolute finding filenames to module-relative,
-// slash-separated paths — the form baselines and SARIF artifact URIs use.
+// slash-separated paths — the form JSON output and SARIF artifact URIs
+// use.
 func relativizer(pkgs []*lint.Package) func(string) string {
 	root := ""
 	if len(pkgs) > 0 {
@@ -219,7 +196,8 @@ func writeJSON(w io.Writer, findings []lint.Finding, relFile func(string) string
 	return err
 }
 
-// selectRules resolves a comma-separated rule list against DefaultRules.
+// selectRules resolves a comma-separated rule list against DefaultRules,
+// keeping the first of any repeated name.
 func selectRules(names string) ([]lint.Rule, error) {
 	if names == "" {
 		return lint.DefaultRules(), nil
@@ -235,7 +213,11 @@ func selectRules(names string) ([]lint.Rule, error) {
 		if !ok {
 			return nil, fmt.Errorf("unknown rule %q (try -list)", n)
 		}
+		if r == nil {
+			continue // repeated: already selected
+		}
 		out = append(out, r)
+		byName[n] = nil
 	}
 	return out, nil
 }

@@ -13,8 +13,7 @@ import (
 )
 
 // TestRepoIsLintClean is the gate the command exists for: the module's own
-// shipped code must produce zero findings under every default rule, with
-// no baseline.
+// shipped code must produce zero findings under every default rule.
 func TestRepoIsLintClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped in -short (the plain CI job runs it)")
@@ -28,7 +27,7 @@ func TestRepoIsLintClean(t *testing.T) {
 
 // TestEveryEngineHasPurityRoot asserts the enginepurity rule covers every
 // registered engine: each name NewByName can construct resolves to a
-// concrete type whose Access method is an analysis root.
+// concrete type that owns analysis roots.
 func TestEveryEngineHasPurityRoot(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped in -short (the plain CI job runs it)")
@@ -37,13 +36,14 @@ func TestEveryEngineHasPurityRoot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	roots := lint.EngineAccessRoots(lint.NewModule(pkgs))
-	if len(roots) == 0 {
-		t.Fatal("no engine Access roots found")
-	}
+	roots := map[string]bool{}
 	var covered []string
-	for name := range roots {
-		covered = append(covered, name)
+	for _, r := range lint.EnginePurity.Roots(lint.NewModule(pkgs)) {
+		roots[r.Owner] = true
+		covered = append(covered, r.String())
+	}
+	if len(roots) == 0 {
+		t.Fatal("no engine roots found")
 	}
 	names := coherence.EngineNames()
 	if len(names) == 0 {
@@ -58,8 +58,8 @@ func TestEveryEngineHasPurityRoot(t *testing.T) {
 		for typ.Kind() == reflect.Pointer {
 			typ = typ.Elem()
 		}
-		if _, ok := roots[typ.Name()]; !ok {
-			t.Errorf("engine %q (concrete type %s) has no enginepurity Access root; covered: %v",
+		if !roots[typ.Name()] {
+			t.Errorf("engine %q (concrete type %s) has no enginepurity root; covered: %v",
 				name, typ.Name(), covered)
 		}
 	}
@@ -105,9 +105,9 @@ func TestExitCodes(t *testing.T) {
 	})
 }
 
-// TestSuppressionAndBaselineFlow exercises the pragma and baseline paths
-// end to end on a throwaway module.
-func TestSuppressionAndBaselineFlow(t *testing.T) {
+// TestSuppressionFlow exercises the pragma path end to end on a throwaway
+// module.
+func TestSuppressionFlow(t *testing.T) {
 	files := map[string]string{
 		"go.mod": "module example.com/supp\n\ngo 1.22\n",
 		"internal/supp/a.go": "package supp\n\nimport \"math/rand\"\n\n" +
@@ -128,19 +128,6 @@ func TestSuppressionAndBaselineFlow(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "b.go") {
 		t.Errorf("unsuppressed finding missing:\n%s", sb.String())
-	}
-
-	// Accept the rest into a baseline → the write itself exits 0.
-	blPath := filepath.Join(t.TempDir(), "baseline.json")
-	sb.Reset()
-	if code := run(&sb, &sb, options{dir: dir, patterns: []string{"./..."}, writeBaseline: blPath}); code != exitClean {
-		t.Fatalf("write-baseline: exit %d\n%s", code, sb.String())
-	}
-
-	// With the baseline, the module lints clean.
-	sb.Reset()
-	if code := run(&sb, &sb, options{dir: dir, patterns: []string{"./..."}, baseline: blPath}); code != exitClean {
-		t.Fatalf("baselined run: exit %d\n%s", code, sb.String())
 	}
 
 	// An unused pragma is itself a finding.
@@ -219,6 +206,62 @@ func TestSelectRules(t *testing.T) {
 	}
 	if _, err := selectRules("nosuchrule"); err == nil {
 		t.Fatal("unknown rule accepted")
+	}
+}
+
+// TestDuplicateRuleRunsOnce: naming a rule twice selects it once, so each
+// finding prints once and the SARIF run lists the rule once.
+func TestDuplicateRuleRunsOnce(t *testing.T) {
+	rs, err := selectRules("floateq,floateq")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rs) != 1 {
+		t.Fatalf("selected %d rules, want 1", len(rs))
+	}
+	dir := writeModule(t, map[string]string{
+		"go.mod":          "module example.com/f\n\ngo 1.22\n",
+		"internal/f/f.go": "package f\n\n// Same compares exactly.\nfunc Same(a, b float64) bool { return a == b }\n",
+	})
+	var sb strings.Builder
+	if code := run(&sb, &sb, options{dir: dir, patterns: []string{"./..."}, rules: "floateq,floateq"}); code != exitFindings {
+		t.Fatalf("exit %d\n%s", code, sb.String())
+	}
+	if n := strings.Count(sb.String(), "floateq:"); n != 1 {
+		t.Errorf("finding printed %d times, want 1:\n%s", n, sb.String())
+	}
+	sb.Reset()
+	run(&sb, &sb, options{dir: dir, patterns: []string{"./..."}, rules: "floateq,floateq", format: "sarif"})
+	if n := strings.Count(sb.String(), `"id": "floateq"`); n != 1 {
+		t.Errorf("SARIF lists floateq %d times, want 1:\n%s", n, sb.String())
+	}
+}
+
+// TestRuleSubsetLeavesOtherPragmasAlone: under -rules, a pragma for a
+// known rule that did not run is neither used nor stale, while a pragma
+// naming an unknown rule is still reported.
+func TestRuleSubsetLeavesOtherPragmasAlone(t *testing.T) {
+	files := map[string]string{
+		"go.mod": "module example.com/sub\n\ngo 1.22\n",
+		"internal/sub/sub.go": "package sub\n\nimport \"fmt\"\n\n// Dump prints in map order on purpose.\n" +
+			"func Dump(m map[string]int) {\n\tfor k := range m {\n" +
+			"\t\t//lint:ignore maporder debugging aid, order does not matter\n" +
+			"\t\tfmt.Println(k)\n\t}\n}\n",
+	}
+	dir := writeModule(t, files)
+	var sb strings.Builder
+	if code := run(&sb, &sb, options{dir: dir, patterns: []string{"./..."}, rules: "floateq"}); code != exitClean {
+		t.Fatalf("-rules floateq: exit %d, want %d\n%s", code, exitClean, sb.String())
+	}
+
+	files["internal/sub/typo.go"] = "package sub\n\n//lint:ignore mapordr misspelled rule\nfunc Typo() {}\n"
+	dir = writeModule(t, files)
+	sb.Reset()
+	if code := run(&sb, &sb, options{dir: dir, patterns: []string{"./..."}, rules: "floateq"}); code != exitFindings {
+		t.Fatalf("unknown-rule pragma: exit %d, want %d\n%s", code, exitFindings, sb.String())
+	}
+	if !strings.Contains(sb.String(), "unused suppression for rule mapordr") || strings.Contains(sb.String(), "rule maporder") {
+		t.Errorf("want only the unknown rule's pragma reported:\n%s", sb.String())
 	}
 }
 

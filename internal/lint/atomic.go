@@ -1,9 +1,6 @@
 package lint
 
-import (
-	"go/ast"
-	"strings"
-)
+import "go/ast"
 
 // AtomicWriteRule flags direct in-place artifact writes — os.Create and
 // os.WriteFile — anywhere in the module outside internal/atomicio. A
@@ -23,8 +20,7 @@ func (AtomicWriteRule) Doc() string {
 
 // Check implements Rule.
 func (AtomicWriteRule) Check(p *Package) []Finding {
-	if p.Path == p.Module+"/internal/atomicio" ||
-		strings.HasPrefix(p.Path, p.Module+"/internal/atomicio/") {
+	if pathWithin(p.Path, p.Module+"/internal/atomicio") {
 		return nil
 	}
 	var out []Finding
@@ -34,12 +30,10 @@ func (AtomicWriteRule) Check(p *Package) []Finding {
 			if !ok {
 				return true
 			}
-			for _, name := range []string{"Create", "WriteFile"} {
-				if selectorPkgFunc(p.Info, call, "os", name) {
-					out = append(out, p.findingf(call.Pos(), "atomicwrite",
-						"os.%s writes the final path in place; a crash leaves a torn artifact — write via internal/atomicio (temp file + fsync + rename)",
-						name))
-				}
+			if path, name := pkgSel(p.Info, call.Fun); path == "os" && (name == "Create" || name == "WriteFile") {
+				out = append(out, p.findingf(call.Pos(), "atomicwrite",
+					"os.%s writes the final path in place; a crash leaves a torn artifact — write via internal/atomicio (temp file + fsync + rename)",
+					name))
 			}
 			return true
 		})

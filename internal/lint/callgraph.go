@@ -5,7 +5,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // This file is the whole-module analysis core: one call graph over every
@@ -26,6 +25,8 @@ import (
 //   - process-global randomness (math/rand outside the seeded
 //     constructors);
 //   - map iteration (range over a map — order is nondeterministic);
+//   - selectors of map[uint64]-keyed struct fields (address-keyed
+//     per-block state);
 //   - goroutine spawns, with what the spawned subtree can observe
 //     (a context, a channel, a WaitGroup);
 //   - calls through function values the graph cannot resolve;
@@ -59,6 +60,9 @@ const (
 	// FactDynamicCall is a call through a function value the graph cannot
 	// resolve to a declaration.
 	FactDynamicCall
+	// FactMapField is a selector of a struct field whose type is
+	// map[uint64]V: address-keyed state.
+	FactMapField
 )
 
 // Fact is one recorded behaviour, anchored at the position proving it.
@@ -66,8 +70,11 @@ type Fact struct {
 	Kind FactKind
 	Pos  token.Pos
 	// What is a short human description: "append", "&composite literal",
-	// "time.Now", …
+	// "time.Now", … For a FactMapField it is the field's name.
 	What string
+	// Obj is the object the fact is about, when there is one: the field
+	// of a FactMapField.
+	Obj types.Object
 }
 
 // Spawn describes one go statement and what the spawned call subtree can
@@ -84,8 +91,9 @@ type Spawn struct {
 	// SeesWaitGroup reports whether the subtree references a
 	// sync.WaitGroup (the wait-then-signal adapter idiom).
 	SeesWaitGroup bool
-	// Callees are the module functions statically referenced in the
-	// spawned subtree, for transitive lifecycle queries.
+	// Callees are the functions statically referenced in the spawned
+	// subtree, for transitive lifecycle queries (Reachable skips those
+	// declared outside the module).
 	Callees []*types.Func
 }
 
@@ -122,7 +130,7 @@ type Module struct {
 	funcs  map[*types.Func]*FuncInfo
 	// implCache memoizes interface-method → module-implementation
 	// resolution.
-	implCache map[*types.Func][]*types.Func
+	implCache map[*types.Func][]implementation
 	// named is every non-interface named type declared in the module, in
 	// a deterministic order.
 	named []*types.Named
@@ -136,14 +144,15 @@ func NewModule(pkgs []*Package) *Module {
 		Pkgs:      pkgs,
 		byPath:    map[string]*Package{},
 		funcs:     map[*types.Func]*FuncInfo{},
-		implCache: map[*types.Func][]*types.Func{},
+		implCache: map[*types.Func][]implementation{},
 	}
 	for _, p := range pkgs {
 		m.byPath[p.Path] = p
 	}
 	m.collectNamed()
-	// Pass 1: index every declared function, so pass 2 can resolve edges
+	// Index every declared function first, so summaries can resolve edges
 	// to any of them regardless of declaration order.
+	var infos []*FuncInfo
 	for _, p := range pkgs {
 		for _, f := range p.Files {
 			for _, d := range f.Decls {
@@ -153,24 +162,13 @@ func NewModule(pkgs []*Package) *Module {
 				}
 				if obj, ok := p.Info.Defs[fd.Name].(*types.Func); ok {
 					m.funcs[obj] = &FuncInfo{Fn: obj, Decl: fd, Pkg: p}
+					infos = append(infos, m.funcs[obj])
 				}
 			}
 		}
 	}
-	// Pass 2: summarize bodies and wire edges.
-	for _, p := range pkgs {
-		for _, f := range p.Files {
-			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				obj, _ := p.Info.Defs[fd.Name].(*types.Func)
-				if info := m.funcs[obj]; info != nil {
-					m.summarize(info)
-				}
-			}
-		}
+	for _, info := range infos {
+		m.summarize(info)
 	}
 	return m
 }
@@ -183,10 +181,6 @@ func (m *Module) Package(rel string) *Package {
 	}
 	return m.byPath[m.Pkgs[0].Module+"/"+rel]
 }
-
-// Func returns fn's summary, or nil when fn is not declared in the module
-// (stdlib functions, interface methods).
-func (m *Module) Func(fn *types.Func) *FuncInfo { return m.funcs[fn] }
 
 // Funcs returns every summary, sorted by source position — the
 // deterministic iteration order for rules.
@@ -257,13 +251,21 @@ func (m *Module) collectNamed() {
 	}
 }
 
+// implementation is one module type's method standing behind an
+// interface method.
+type implementation struct {
+	typ *types.Named
+	fn  *types.Func
+}
+
 // implementations resolves a module-declared interface method to every
-// module method that can stand behind it.
-func (m *Module) implementations(ifaceMethod *types.Func) []*types.Func {
+// module type, and the method, that can stand behind it. A promoted
+// method appears once per type that promotes it.
+func (m *Module) implementations(ifaceMethod *types.Func) []implementation {
 	if impls, ok := m.implCache[ifaceMethod]; ok {
 		return impls
 	}
-	var impls []*types.Func
+	var impls []implementation
 	sig, _ := ifaceMethod.Type().(*types.Signature)
 	if sig == nil || sig.Recv() == nil {
 		m.implCache[ifaceMethod] = nil
@@ -280,7 +282,7 @@ func (m *Module) implementations(ifaceMethod *types.Func) []*types.Func {
 		}
 		obj, _, _ := types.LookupFieldOrMethod(named, true, ifaceMethod.Pkg(), ifaceMethod.Name())
 		if fn, ok := obj.(*types.Func); ok && m.funcs[fn] != nil {
-			impls = append(impls, fn)
+			impls = append(impls, implementation{named, fn})
 		}
 	}
 	m.implCache[ifaceMethod] = impls
@@ -364,7 +366,7 @@ func (w *factWalker) walkStmt(s ast.Stmt, guarded bool) {
 		w.walkStmt(st.Body, guarded)
 	case *ast.GoStmt:
 		w.fact(FactGoSpawn, st.Pos(), "go statement")
-		w.info.Spawns = append(w.info.Spawns, w.spawn(st))
+		w.info.Spawns = append(w.info.Spawns, scanSpawn(w.p.Info, st))
 		w.walkExpr(st.Call, guarded)
 	case *ast.ExprStmt:
 		w.walkExpr(st.X, guarded)
@@ -467,6 +469,9 @@ func (w *factWalker) walkExpr(e ast.Expr, guarded bool) {
 	case *ast.Ident:
 		w.identUse(ex)
 	case *ast.SelectorExpr:
+		if field := fieldObject(w.p, ex); field != nil && uint64KeyedMap(field.Type()) {
+			w.info.Facts = append(w.info.Facts, Fact{Kind: FactMapField, Pos: ex.Sel.Pos(), What: field.Name(), Obj: field})
+		}
 		w.walkExpr(ex.X, guarded)
 		w.identUse(ex.Sel)
 	case *ast.BinaryExpr:
@@ -509,9 +514,9 @@ func (w *factWalker) identUse(id *ast.Ident) {
 		return
 	}
 	// A module-declared interface method: resolve to implementations.
-	if path := fn.Pkg().Path(); path == w.p.Module || strings.HasPrefix(path, w.p.Module+"/") {
+	if pathWithin(fn.Pkg().Path(), w.p.Module) {
 		for _, impl := range w.m.implementations(fn) {
-			w.edge(impl)
+			w.edge(impl.fn)
 		}
 	}
 }
@@ -539,7 +544,13 @@ func (w *factWalker) call(call *ast.CallExpr, guarded bool) {
 		}
 		return
 	}
-	w.clockOrRand(call)
+	if kind, name, ok := clockOrRand(w.p.Info, call); ok {
+		prefix := "time."
+		if kind == FactGlobalRand {
+			prefix = "rand."
+		}
+		w.fact(kind, call.Pos(), prefix+name)
+	}
 	// A call whose Fun resolves to no function object is dynamic: a
 	// func-typed variable, field or parameter the graph cannot follow.
 	switch fun := call.Fun.(type) {
@@ -607,33 +618,6 @@ func (w *factWalker) allocFact(pos token.Pos, what string, guarded bool) {
 		kind = FactAmortizedAlloc
 	}
 	w.fact(kind, pos, what)
-}
-
-// clockOrRand records wall-clock and global-rand facts for one call.
-func (w *factWalker) clockOrRand(call *ast.CallExpr) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return
-	}
-	x, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return
-	}
-	pn := pkgNameOf(w.p.Info, x)
-	if pn == nil {
-		return
-	}
-	switch pn.Imported().Path() {
-	case "time":
-		switch sel.Sel.Name {
-		case "Now", "Since", "Until", "Sleep", "Tick":
-			w.fact(FactClock, call.Pos(), "time."+sel.Sel.Name)
-		}
-	case "math/rand", "math/rand/v2":
-		if !randConstructors[sel.Sel.Name] {
-			w.fact(FactGlobalRand, call.Pos(), "rand."+sel.Sel.Name)
-		}
-	}
 }
 
 // isAmortGuard reports whether an if/for condition (with optional init)
@@ -706,23 +690,24 @@ func terminates(b *ast.BlockStmt) bool {
 	return false
 }
 
-// spawn analyses one go statement's call subtree for lifecycle signals.
-func (w *factWalker) spawn(gs *ast.GoStmt) Spawn {
+// scanSpawn analyses one go statement's call subtree for lifecycle
+// signals.
+func scanSpawn(info *types.Info, gs *ast.GoStmt) Spawn {
 	sp := Spawn{Pos: gs.Pos()}
 	ast.Inspect(gs.Call, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.Ident:
-			if fn, ok := w.p.Info.Uses[x].(*types.Func); ok && w.m.funcs[fn] != nil {
+			if fn, ok := info.Uses[x].(*types.Func); ok {
 				sp.Callees = append(sp.Callees, fn)
 			}
-			if obj, ok := w.p.Info.Uses[x].(*types.Var); ok {
+			if obj, ok := info.Uses[x].(*types.Var); ok {
 				if isNamedType(obj.Type(), "sync", "WaitGroup") {
 					sp.SeesWaitGroup = true
 				}
 			}
 		case *ast.CallExpr:
 			if id, ok := x.Fun.(*ast.Ident); ok && id.Name == "close" {
-				if _, ok := w.p.Info.Uses[id].(*types.Builtin); ok {
+				if _, ok := info.Uses[id].(*types.Builtin); ok {
 					sp.SeesChannel = true
 				}
 			}
@@ -733,7 +718,7 @@ func (w *factWalker) spawn(gs *ast.GoStmt) Spawn {
 		case *ast.SendStmt:
 			sp.SeesChannel = true
 		case *ast.RangeStmt:
-			if tv, ok := w.p.Info.Types[x.X]; ok {
+			if tv, ok := info.Types[x.X]; ok {
 				if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
 					sp.SeesChannel = true
 				}
@@ -742,7 +727,7 @@ func (w *factWalker) spawn(gs *ast.GoStmt) Spawn {
 			sp.SeesChannel = true
 		}
 		if e, ok := n.(ast.Expr); ok {
-			if t := w.p.Info.TypeOf(e); t != nil {
+			if t := info.TypeOf(e); t != nil {
 				if isNamedType(t, "context", "Context") {
 					sp.SeesContext = true
 				}
@@ -754,4 +739,14 @@ func (w *factWalker) spawn(gs *ast.GoStmt) Spawn {
 		return true
 	})
 	return sp
+}
+
+// uint64KeyedMap reports whether t's underlying type is map[uint64]V.
+func uint64KeyedMap(t types.Type) bool {
+	mp, ok := t.Underlying().(*types.Map)
+	if !ok {
+		return false
+	}
+	b, ok := mp.Key().Underlying().(*types.Basic)
+	return ok && b.Kind() == types.Uint64
 }

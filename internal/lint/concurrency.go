@@ -73,11 +73,14 @@ func capturedVar(info *types.Info, expr ast.Expr, lit *ast.FuncLit) *ast.Ident {
 		return nil
 	}
 	v, ok := info.Uses[id].(*types.Var)
-	if !ok {
+	if !ok || !declaredOutside(v, lit) {
 		return nil
 	}
-	if v.Pos() >= lit.Pos() && v.Pos() < lit.End() {
-		return nil // declared inside the literal (locals, parameters)
-	}
 	return id
+}
+
+// declaredOutside reports whether obj is declared outside lit: captured
+// by the closure rather than one of its locals or parameters.
+func declaredOutside(obj types.Object, lit *ast.FuncLit) bool {
+	return obj.Pos() < lit.Pos() || obj.Pos() >= lit.End()
 }

@@ -87,12 +87,11 @@ func isMapRange(info *types.Info, rs *ast.RangeStmt) bool {
 
 // isFmtPrint reports whether call is one of fmt's printing functions.
 func isFmtPrint(info *types.Info, call *ast.CallExpr) bool {
-	for _, name := range []string{
-		"Print", "Printf", "Println",
-		"Fprint", "Fprintf", "Fprintln",
-		"Sprint", "Sprintf", "Sprintln",
-	} {
-		if selectorPkgFunc(info, call, "fmt", name) {
+	if path, name := pkgSel(info, call.Fun); path == "fmt" {
+		switch name {
+		case "Print", "Printf", "Println",
+			"Fprint", "Fprintf", "Fprintln",
+			"Sprint", "Sprintf", "Sprintln":
 			return true
 		}
 	}
@@ -131,19 +130,7 @@ func sortedIdents(info *types.Info, body *ast.BlockStmt) map[types.Object]bool {
 		if !ok {
 			return true
 		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		x, ok := sel.X.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		pn := pkgNameOf(info, x)
-		if pn == nil {
-			return true
-		}
-		if path := pn.Imported().Path(); path != "sort" && path != "slices" {
+		if path, _ := pkgSel(info, call.Fun); path != "sort" && path != "slices" {
 			return true
 		}
 		for _, arg := range call.Args {
@@ -177,6 +164,28 @@ var randConstructors = map[string]bool{
 	"New": true, "NewSource": true, "NewZipf": true,
 }
 
+// clockCalls maps the package time functions that touch the wall clock
+// to whether they read it: a read returns a value that differs run to
+// run, a wait (Sleep, Tick) only stalls on it.
+var clockCalls = map[string]bool{"Now": true, "Since": true, "Until": true, "Sleep": false, "Tick": false}
+
+// clockOrRand classifies a call of a package-level time or math/rand
+// function: FactClock for a wall-clock read or wait, FactGlobalRand for a
+// draw from the process-global source. name is the called function; ok
+// is false for every other call, the seeded rand constructors included.
+// NondeterminismRule and the call-graph summaries share it.
+func clockOrRand(info *types.Info, call *ast.CallExpr) (kind FactKind, name string, ok bool) {
+	path, name := pkgSel(info, call.Fun)
+	switch path {
+	case "time":
+		_, ok = clockCalls[name]
+		return FactClock, name, ok
+	case "math/rand", "math/rand/v2":
+		return FactGlobalRand, name, !randConstructors[name]
+	}
+	return 0, "", false
+}
+
 // Check implements Rule.
 func (NondeterminismRule) Check(p *Package) []Finding {
 	if !p.inModuleInternal() {
@@ -189,32 +198,13 @@ func (NondeterminismRule) Check(p *Package) []Finding {
 			if !ok {
 				return true
 			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			x, ok := sel.X.(*ast.Ident)
-			if !ok {
-				return true
-			}
-			pn := pkgNameOf(p.Info, x)
-			if pn == nil {
-				return true
-			}
-			switch pn.Imported().Path() {
-			case "math/rand", "math/rand/v2":
-				if !randConstructors[sel.Sel.Name] {
-					out = append(out, p.findingf(call.Pos(), "nondeterm",
-						"rand.%s draws from the process-global source; thread a seeded *rand.Rand instead",
-						sel.Sel.Name))
-				}
-			case "time":
-				switch sel.Sel.Name {
-				case "Now", "Since", "Until":
-					out = append(out, p.findingf(call.Pos(), "nondeterm",
-						"time.%s reads the wall clock; simulator results must not depend on it",
-						sel.Sel.Name))
-				}
+			switch kind, name, ok := clockOrRand(p.Info, call); {
+			case ok && kind == FactGlobalRand:
+				out = append(out, p.findingf(call.Pos(), "nondeterm",
+					"rand.%s draws from the process-global source; thread a seeded *rand.Rand instead", name))
+			case ok && clockCalls[name]:
+				out = append(out, p.findingf(call.Pos(), "nondeterm",
+					"time.%s reads the wall clock; simulator results must not depend on it", name))
 			}
 			return true
 		})

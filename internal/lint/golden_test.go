@@ -5,7 +5,6 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 )
@@ -85,50 +84,13 @@ func TestHotPathGoldenRepo(t *testing.T) {
 	for _, rule := range []string{"obsring", "enginepurity", "mapstate"} {
 		fmt.Fprintf(&sb, "%s\n", rule)
 		var all []*types.Func
-		for _, r := range hotPathRoots(m, rule) {
-			fmt.Fprintf(&sb, "\t%s %s reaches %d\n", r.owner, rel(r.fn), len(m.Reachable(r.fn)))
-			all = append(all, r.fn)
+		for _, r := range rulesNamed(t, rule)[0].(HotPathRule).Roots(m) {
+			fmt.Fprintf(&sb, "\t%s %s reaches %d\n", r.Owner, rel(r.Fn), len(m.Reachable(r.Fn)))
+			all = append(all, r.Fn)
 		}
 		fmt.Fprintf(&sb, "\tall roots reach %d\n", len(m.Reachable(all...)))
 	}
 	checkGolden(t, "hotpath_repo.golden", sb.String())
-}
-
-// goldenRoot is one hot-path root and what owns it: the engine type for
-// an engine method, the guarded package for an observability entry point.
-type goldenRoot struct {
-	owner string
-	fn    *types.Func
-}
-
-// hotPathRoots lists a hot-path rule's roots in the order it walks them.
-func hotPathRoots(m *Module, rule string) []goldenRoot {
-	var out []goldenRoot
-	if rule == "obsring" {
-		var rels []string
-		for rel := range obsRingRoots {
-			rels = append(rels, rel)
-		}
-		sort.Strings(rels)
-		for _, rel := range rels {
-			for _, fi := range m.Funcs() {
-				if fi.Pkg == m.Package(rel) && obsRingRoots[rel][fi.Decl.Name.Name] {
-					out = append(out, goldenRoot{rel, fi.Fn})
-				}
-			}
-		}
-		return out
-	}
-	roots := EngineAccessRoots(m)
-	var names []string
-	for name := range roots {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		out = append(out, goldenRoot{name, roots[name]})
-	}
-	return out
 }
 
 // checkGolden compares got with testdata/name and reports the first

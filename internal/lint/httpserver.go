@@ -48,25 +48,22 @@ func (HTTPServerRule) Check(p *Package) []Finding {
 						"http.Client literal with neither Timeout nor Transport; an unresponsive peer blocks the caller forever"))
 				}
 			case *ast.SelectorExpr:
-				if isHTTPPkgSel(p.Info, x, "DefaultClient") {
+				if path, name := pkgSel(p.Info, x); path == "net/http" && name == "DefaultClient" {
 					out = append(out, p.findingf(x.Pos(), "httpserver",
 						"http.DefaultClient has no timeout; build a client with a Timeout or a bounded Transport"))
 				}
 			case *ast.CallExpr:
-				if sel, ok := x.Fun.(*ast.SelectorExpr); ok {
-					for _, fn := range [...]string{"Get", "Post", "Head", "PostForm"} {
-						if isHTTPPkgSel(p.Info, sel, fn) {
-							out = append(out, p.findingf(x.Pos(), "httpserver",
-								"http."+fn+" uses the deadline-free DefaultClient; use a client with a Timeout or a bounded Transport"))
-						}
-					}
+				if path, name := pkgSel(p.Info, x.Fun); path == "net/http" &&
+					(name == "Get" || name == "Post" || name == "Head" || name == "PostForm") {
+					out = append(out, p.findingf(x.Pos(), "httpserver",
+						"http."+name+" uses the deadline-free DefaultClient; use a client with a Timeout or a bounded Transport"))
 				}
 			case *ast.FuncDecl:
-				if x.Body != nil && isHandlerSig(p.Info, x.Type) {
+				if x.Body != nil && isHandlerSig(p.Info.ObjectOf(x.Name).Type()) {
 					out = append(out, handlerGoroutines(p, x.Body)...)
 				}
 			case *ast.FuncLit:
-				if isHandlerSig(p.Info, x.Type) {
+				if isHandlerSig(p.Info.TypeOf(x)) {
 					out = append(out, handlerGoroutines(p, x.Body)...)
 				}
 			}
@@ -85,7 +82,7 @@ func handlerGoroutines(p *Package, body *ast.BlockStmt) []Finding {
 		if !ok {
 			return true
 		}
-		if !referencesContext(p.Info, gs.Call) {
+		if !scanSpawn(p.Info, gs).SeesContext {
 			out = append(out, p.findingf(gs.Pos(), "httpserver",
 				"handler spawns a goroutine with no context; derive one from the request (or hand the work to an owner with its own lifecycle)"))
 		}
@@ -94,61 +91,13 @@ func handlerGoroutines(p *Package, body *ast.BlockStmt) []Finding {
 	return out
 }
 
-// referencesContext reports whether any expression in the call subtree
-// (including a spawned func literal's body) has type context.Context.
-func referencesContext(info *types.Info, call *ast.CallExpr) bool {
-	found := false
-	ast.Inspect(call, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		e, ok := n.(ast.Expr)
-		if !ok {
-			return true
-		}
-		if t := info.TypeOf(e); t != nil && isNamedType(t, "context", "Context") {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
-}
-
-// isHandlerSig reports whether ft is the http.HandlerFunc shape:
-// (http.ResponseWriter, *http.Request).
-func isHandlerSig(info *types.Info, ft *ast.FuncType) bool {
-	if ft.Params == nil {
-		return false
-	}
-	var params []types.Type
-	for _, fld := range ft.Params.List {
-		n := len(fld.Names)
-		if n == 0 {
-			n = 1
-		}
-		t := info.TypeOf(fld.Type)
-		for i := 0; i < n; i++ {
-			params = append(params, t)
-		}
-	}
-	return len(params) == 2 &&
-		isNamedType(params[0], "net/http", "ResponseWriter") &&
-		isNamedType(params[1], "net/http", "Request")
-}
-
-// isHTTPPkgSel reports whether sel is the package-level selector
-// net/http.<name> (not a method or field with the same name).
-func isHTTPPkgSel(info *types.Info, sel *ast.SelectorExpr, name string) bool {
-	if sel.Sel.Name != name {
-		return false
-	}
-	id, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return false
-	}
-	pkg, ok := info.Uses[id].(*types.PkgName)
-	return ok && pkg.Imported().Path() == "net/http"
+// isHandlerSig reports whether t is the http.HandlerFunc shape:
+// func(http.ResponseWriter, *http.Request).
+func isHandlerSig(t types.Type) bool {
+	sig, ok := t.(*types.Signature)
+	return ok && sig.Params().Len() == 2 &&
+		isNamedType(sig.Params().At(0).Type(), "net/http", "ResponseWriter") &&
+		isNamedType(sig.Params().At(1).Type(), "net/http", "Request")
 }
 
 // hasFieldKey reports whether the composite literal sets the named field.

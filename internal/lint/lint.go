@@ -7,30 +7,29 @@
 // guard those properties statically, before a run, complementing the
 // dynamic checks (oracle tests, exhaustive enumeration, internal/mc):
 //
-//   - determinism: no ordered output built from map iteration, no global
-//     math/rand or time.Now in internal packages, no ==/!= on floats;
-//   - protocol hygiene: state-enum switches are exhaustive, constructor
-//     errors are checked, the EngineNames/NewByName registry is closed
-//     under both directions;
-//   - concurrency: goroutines must not assign to captured variables
-//     (the study worker pattern — parameters in, indexed slots out — is
-//     the sanctioned shape), and range loops must not fan out one
-//     goroutine per element (a fixed worker pool or a semaphore acquired
-//     before each spawn bounds concurrency);
-//   - artifact hygiene: result files must be written through
-//     internal/atomicio's temp+fsync+rename helpers, never created in
-//     place, so a crash cannot leave a torn CSV, table or trace;
-//   - service hygiene: every http.Server bounds header reads with
-//     ReadHeaderTimeout, and HTTP handlers never spawn goroutines that
-//     reference no context — detached work can observe neither client
-//     disconnect nor graceful shutdown;
-//   - observability hygiene: the flight recorder's Emit and the obs
-//     histograms' Observe/ObserveN hot paths (and their same-package
-//     callees) never allocate, keeping tracing within its overhead
-//     budget.
+//   - determinism (maporder, nondeterm, floateq): no ordered output built
+//     from map iteration, no global math/rand or wall clock in internal
+//     packages, no ==/!= on floats;
+//   - protocol hygiene (stateswitch, ctorerr, registry): state-enum
+//     switches are exhaustive, constructor errors are checked, and the
+//     EngineNames/NewByName registry is closed in both directions;
+//   - concurrency (gocapture, gopool, lockcheck, ctxflow): goroutines do
+//     not assign to captured variables, range loops do not spawn one
+//     goroutine per element, locks and atomics are never copied or mixed
+//     with plain access, and goroutines in internal/cluster, runner and
+//     server can be stopped;
+//   - artifact and service hygiene (atomicwrite, httpserver): result
+//     files go through internal/atomicio, servers bound header reads,
+//     clients have deadlines, and handler goroutines carry a context;
+//   - hot paths (obsring, enginepurity, mapstate): one HotPathRule walks
+//     the module call graph from each rule's roots — the flight, obs and
+//     otrace entry points, or every engine's per-reference methods — and
+//     forbids allocation, clock reads, global rand, map iteration, spawns
+//     or map[uint64] state wherever they reach.
 //
 // Drive it with cmd/dirsimlint or embed it: Load packages, Run rules,
-// print Findings.
+// print Findings. //lint:ignore pragmas (pragma.go) are the one way to
+// suppress a finding.
 package lint
 
 import (
@@ -75,12 +74,11 @@ func (p *Package) findingf(pos token.Pos, rule, format string, args ...any) Find
 
 // inModuleInternal reports whether the package lives under an internal/
 // tree of its module (where the strict determinism rules apply).
-func (p *Package) inModuleInternal() bool {
-	rest, ok := strings.CutPrefix(p.Path, p.Module+"/")
-	if !ok {
-		return false
-	}
-	return rest == "internal" || strings.HasPrefix(rest, "internal/")
+func (p *Package) inModuleInternal() bool { return pathWithin(p.Path, p.Module+"/internal") }
+
+// pathWithin reports whether the import path is root or lies below it.
+func pathWithin(path, root string) bool {
+	return path == root || strings.HasPrefix(path, root+"/")
 }
 
 // Rule is one static check: a PackageRule walks one package at a time, a
@@ -121,9 +119,9 @@ func DefaultRules() []Rule {
 		GoPoolRule{},
 		AtomicWriteRule{},
 		HTTPServerRule{},
-		ObsRingRule{},
-		EnginePurityRule{},
-		MapStateRule{},
+		ObsRing,
+		EnginePurity,
+		MapState,
 		LockCheckRule{},
 		CtxFlowRule{},
 	}
@@ -180,27 +178,23 @@ func SortFindings(fs []Finding) {
 	})
 }
 
-// pkgNameOf resolves an identifier to the package it names, or nil.
-func pkgNameOf(info *types.Info, id *ast.Ident) *types.PkgName {
-	if obj, ok := info.Uses[id].(*types.PkgName); ok {
-		return obj
-	}
-	return nil
-}
-
-// selectorPkgFunc reports whether call invokes the package-level function
-// pkgPath.name, e.g. ("sort", "Slice").
-func selectorPkgFunc(info *types.Info, call *ast.CallExpr, pkgPath, name string) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != name {
-		return false
+// pkgSel resolves e when it is a package-qualified name such as
+// time.Now, returning the package's import path and the name; path is ""
+// for any other expression (a method, a field).
+func pkgSel(info *types.Info, e ast.Expr) (path, name string) {
+	sel, ok := e.(*ast.SelectorExpr)
+	if !ok {
+		return "", ""
 	}
 	id, ok := sel.X.(*ast.Ident)
 	if !ok {
-		return false
+		return "", ""
 	}
-	pn := pkgNameOf(info, id)
-	return pn != nil && pn.Imported().Path() == pkgPath
+	pn, ok := info.Uses[id].(*types.PkgName)
+	if !ok {
+		return "", ""
+	}
+	return pn.Imported().Path(), sel.Sel.Name
 }
 
 // isFloat reports whether t's underlying type is a floating-point basic

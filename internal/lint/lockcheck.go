@@ -45,7 +45,8 @@ func (LockCheckRule) CheckModule(m *Module) []Finding {
 }
 
 // lockTypeIn returns the name of the first lock-like type contained by
-// value in t ("sync.Mutex", "atomic.Uint64", …), or "".
+// value in t ("sync.Mutex", "atomic.Uint64", …), or "". A pointer
+// contains nothing by value: copying it shares the lock.
 func lockTypeIn(t types.Type) string {
 	return lockTypeRec(t, map[types.Type]bool{})
 }
@@ -116,9 +117,6 @@ func lockCopies(p *Package) []Finding {
 						continue
 					}
 					if t := p.Info.TypeOf(rhs); t != nil {
-						if _, isPtr := t.(*types.Pointer); isPtr {
-							continue
-						}
 						if lock := lockTypeIn(t); lock != "" {
 							flag(rhs.Pos(), "assignment", lock)
 						}
@@ -129,9 +127,6 @@ func lockCopies(p *Package) []Finding {
 					return true
 				}
 				if t := p.Info.TypeOf(x.Value); t != nil {
-					if _, isPtr := t.(*types.Pointer); isPtr {
-						return true
-					}
 					if lock := lockTypeIn(t); lock != "" {
 						flag(x.Value.Pos(), "range variable", lock)
 					}
@@ -151,15 +146,10 @@ func checkFuncType(p *Package, ft *ast.FuncType, recv *ast.FieldList, flag func(
 			return
 		}
 		for _, fld := range fl.List {
-			t := p.Info.TypeOf(fld.Type)
-			if t == nil {
-				continue
-			}
-			if _, isPtr := t.(*types.Pointer); isPtr {
-				continue
-			}
-			if lock := lockTypeIn(t); lock != "" {
-				flag(fld.Type.Pos(), what, lock)
+			if t := p.Info.TypeOf(fld.Type); t != nil {
+				if lock := lockTypeIn(t); lock != "" {
+					flag(fld.Type.Pos(), what, lock)
+				}
 			}
 		}
 	}
@@ -211,16 +201,8 @@ func mixedAtomics(m *Module) []Finding {
 				if !ok {
 					return true
 				}
-				sel, ok := call.Fun.(*ast.SelectorExpr)
-				if !ok || !isAtomicOp(sel.Sel.Name) {
-					return true
-				}
-				x, ok := sel.X.(*ast.Ident)
-				if !ok {
-					return true
-				}
-				pn := pkgNameOf(p.Info, x)
-				if pn == nil || pn.Imported().Path() != "sync/atomic" {
+				path, op := pkgSel(p.Info, call.Fun)
+				if path != "sync/atomic" || !isAtomicOp(op) {
 					return true
 				}
 				for _, arg := range call.Args {
@@ -233,7 +215,7 @@ func mixedAtomics(m *Module) []Finding {
 						continue
 					}
 					if field := fieldObject(p, fsel); field != nil {
-						atomicFields[field] = sel.Sel.Name
+						atomicFields[field] = op
 						inAtomicCall[fsel.Sel.Pos()] = true
 					}
 				}

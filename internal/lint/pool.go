@@ -80,27 +80,11 @@ func usesCapturedWaitGroup(info *types.Info, lit *ast.FuncLit) bool {
 			return !found
 		}
 		v, ok := info.Uses[id].(*types.Var)
-		if !ok || !isWaitGroup(v.Type()) {
+		if !ok || !isNamedType(v.Type(), "sync", "WaitGroup") || !declaredOutside(v, lit) {
 			return true
-		}
-		if v.Pos() >= lit.Pos() && v.Pos() < lit.End() {
-			return true // declared inside the literal
 		}
 		found = true
 		return false
 	})
 	return found
-}
-
-// isWaitGroup reports whether t is sync.WaitGroup or *sync.WaitGroup.
-func isWaitGroup(t types.Type) bool {
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == "WaitGroup" && obj.Pkg() != nil && obj.Pkg().Path() == "sync"
 }

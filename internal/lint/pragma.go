@@ -87,8 +87,22 @@ func CollectPragmas(pkgs []*Package) ([]Pragma, []Finding) {
 
 // Suppress drops the findings covered by pragmas and returns the survivors
 // together with one "suppression" finding per pragma that matched nothing
-// — an unused ignore is stale and must be deleted, not shipped.
-func Suppress(findings []Finding, pragmas []Pragma) []Finding {
+// — an unused ignore is stale and must be deleted, not shipped. ran are
+// the rules that produced findings: a pragma naming a default rule that
+// did not run (or "*", unless every default rule ran) cannot be judged
+// and is neither used nor stale. A pragma naming an unknown rule is
+// always stale.
+func Suppress(findings []Finding, pragmas []Pragma, ran []Rule) []Finding {
+	skipped := map[string]bool{}
+	for _, r := range DefaultRules() {
+		skipped[r.Name()] = true
+	}
+	for _, r := range ran {
+		delete(skipped, r.Name())
+	}
+	if len(skipped) > 0 {
+		skipped["*"] = true
+	}
 	used := make([]bool, len(pragmas))
 	var kept []Finding
 	for _, f := range findings {
@@ -111,7 +125,7 @@ func Suppress(findings []Finding, pragmas []Pragma) []Finding {
 		}
 	}
 	for i, pr := range pragmas {
-		if !used[i] {
+		if !used[i] && !skipped[pr.Rule] {
 			kept = append(kept, Finding{Pos: pr.Pos, Rule: "suppression",
 				Msg: "unused suppression for rule " + pr.Rule + " — no finding matches; delete the pragma"})
 		}

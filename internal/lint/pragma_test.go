@@ -84,7 +84,7 @@ func TestSuppress(t *testing.T) {
 		// Wrong rule on the right line: suppresses nothing.
 		{Pos: pos("a.go", 20), Rule: "obsring", Reason: "stale"},
 	}
-	got := Suppress(findings, pragmas)
+	got := Suppress(findings, pragmas, DefaultRules())
 	var rules []string
 	unused := 0
 	for _, f := range got {
@@ -111,7 +111,28 @@ func TestSuppressWildcardAndSameLine(t *testing.T) {
 	pos := token.Position{Filename: "a.go", Line: 5, Column: 40}
 	findings := []Finding{{Pos: pos, Rule: "maporder", Msg: "m"}}
 	pragmas := []Pragma{{Pos: token.Position{Filename: "a.go", Line: 5, Column: 60}, Rule: "*", Reason: "demo"}}
-	if got := Suppress(findings, pragmas); len(got) != 0 {
+	if got := Suppress(findings, pragmas, DefaultRules()); len(got) != 0 {
 		t.Fatalf("trailing wildcard pragma should suppress: %v", got)
+	}
+}
+
+// TestSuppressJudgesOnlyRulesThatRan: under a rule subset, a pragma for a
+// default rule that did not run (or a wildcard) is neither used nor
+// stale, while a pragma naming no rule at all is still stale.
+func TestSuppressJudgesOnlyRulesThatRan(t *testing.T) {
+	at := func(line int) token.Position { return token.Position{Filename: "a.go", Line: line} }
+	pragmas := []Pragma{
+		{Pos: at(1), Rule: "maporder", Reason: "did not run"},
+		{Pos: at(3), Rule: "*", Reason: "not every rule ran"},
+		{Pos: at(5), Rule: "nosuchrule", Reason: "typo"},
+		{Pos: at(7), Rule: "floateq", Reason: "ran, matched nothing"},
+	}
+	got := Suppress(nil, pragmas, []Rule{FloatEqRule{}})
+	var stale []string
+	for _, f := range got {
+		stale = append(stale, f.Msg)
+	}
+	if len(got) != 2 || got[0].Pos.Line != 5 || got[1].Pos.Line != 7 {
+		t.Fatalf("stale pragmas %v, want the unknown rule (line 5) and floateq (line 7)", stale)
 	}
 }

@@ -90,7 +90,7 @@ func enumType(p *Package, tag ast.Expr) *types.Named {
 		return nil
 	}
 	obj := named.Obj()
-	if obj.Pkg() == nil || !inModule(obj.Pkg().Path(), p.Module) {
+	if obj.Pkg() == nil || !pathWithin(obj.Pkg().Path(), p.Module) {
 		return nil
 	}
 	name := obj.Name()
@@ -121,11 +121,6 @@ func enumConsts(named *types.Named) []*types.Const {
 		}
 	}
 	return out
-}
-
-// inModule reports whether pkgPath is the module or one of its packages.
-func inModule(pkgPath, module string) bool {
-	return pkgPath == module || strings.HasPrefix(pkgPath, module+"/")
 }
 
 // CtorErrRule flags calls to module constructors — functions named New*
@@ -192,7 +187,7 @@ func moduleCtor(p *Package, call *ast.CallExpr) *types.Func {
 		return nil
 	}
 	fn, ok := p.Info.Uses[id].(*types.Func)
-	if !ok || fn.Pkg() == nil || !inModule(fn.Pkg().Path(), p.Module) {
+	if !ok || fn.Pkg() == nil || !pathWithin(fn.Pkg().Path(), p.Module) {
 		return nil
 	}
 	if !strings.HasPrefix(fn.Name(), "New") {
