@@ -169,6 +169,8 @@ var MapState = HotPathRule{
 // interface that declares it.
 var engineRoots = implementers("internal/coherence",
 	"Engine.Access",
+	"IndexedEngine.AccessID",
+	"IndexedEngine.AccessInstrs",
 )
 
 // declaredIn selects, in each module-relative package, the functions and

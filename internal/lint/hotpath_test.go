@@ -340,3 +340,39 @@ func TestMapStateIgnoresOtherKeyTypes(t *testing.T) {
 		t.Fatalf("only uint64-keyed state is per-block state: %v", fs)
 	}
 }
+
+// The sim driver calls AccessID and AccessInstrs directly, so both are
+// roots even when Access does not reach them.
+var enginePurityIndexed = fixture{name: "enginepurity-indexed", path: "dirsim/internal/coherence", src: `package coherence
+type Engine interface {
+	Access(c int, block uint64) int
+}
+type IndexedEngine interface {
+	Engine
+	AccessID(c int, block uint64, id int) int
+	AccessInstrs(n uint64)
+}
+type Fast struct {
+	hits  []int
+	byPid map[uint64]int
+}
+func (e *Fast) Access(c int, block uint64) int { return c }
+func (e *Fast) AccessID(c int, block uint64, id int) int {
+	e.hits = make([]int, id)
+	return e.byPid[block]
+}
+func (e *Fast) AccessInstrs(n uint64) { e.hits = []int{int(n)} }
+`}
+
+func TestHotPathCoversIndexedEngineMethods(t *testing.T) {
+	fs := lintFixture(t, enginePurityIndexed, EnginePurity)
+	wantFindings(t, fs, EnginePurity, 2)
+	if !strings.Contains(fs[0].Msg, "Fast's AccessID hot path") || !strings.Contains(fs[1].Msg, "Fast's AccessInstrs hot path") {
+		t.Errorf("findings should name the indexed entry points: %v", fs)
+	}
+	fs = lintFixture(t, enginePurityIndexed, MapState)
+	wantFindings(t, fs, MapState, 1)
+	if !strings.Contains(fs[0].Msg, "field byPid") {
+		t.Errorf("finding should name byPid: %v", fs)
+	}
+}
