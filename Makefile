@@ -3,7 +3,13 @@
 
 GO ?= go
 
-.PHONY: build test perfbench-test race lint lint-sarif mc check fuzz bench bench-json bench-regress fault-smoke serve serve-smoke trace-smoke promscrape-smoke soak-smoke cluster-smoke
+.PHONY: fmt build test perfbench-test race lint lint-sarif mc check fuzz bench bench-json bench-regress fault-smoke serve serve-smoke trace-smoke promscrape-smoke soak-smoke cluster-smoke
+
+# Fails listing every file gofmt would change; CI's check job runs this
+# same target.
+fmt:
+	@out=$$(gofmt -l .); \
+	if [ -n "$$out" ]; then echo "gofmt needed on:" >&2; echo "$$out" >&2; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -40,7 +46,7 @@ mc:
 	$(GO) run ./cmd/dirsimlint -mc
 	$(GO) run ./cmd/dirsimlint -mc -blocks 2
 
-check: build lint test perfbench-test race mc
+check: fmt build lint test perfbench-test race mc
 
 # Short local fuzz of the scheme registry (CI runs the seed corpus via
 # `go test`; this explores further).
