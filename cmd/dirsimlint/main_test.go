@@ -207,18 +207,14 @@ func TestSelectRules(t *testing.T) {
 	if _, err := selectRules("nosuchrule"); err == nil {
 		t.Fatal("unknown rule accepted")
 	}
+	if rs, _ := selectRules("floateq,floateq"); len(rs) != 1 {
+		t.Fatalf("repeated name selected %d rules, want 1", len(rs))
+	}
 }
 
-// TestDuplicateRuleRunsOnce: naming a rule twice selects it once, so each
+// TestDuplicateRuleRunsOnce: naming a rule twice runs it once, so each
 // finding prints once and the SARIF run lists the rule once.
 func TestDuplicateRuleRunsOnce(t *testing.T) {
-	rs, err := selectRules("floateq,floateq")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs) != 1 {
-		t.Fatalf("selected %d rules, want 1", len(rs))
-	}
 	dir := writeModule(t, map[string]string{
 		"go.mod":          "module example.com/f\n\ngo 1.22\n",
 		"internal/f/f.go": "package f\n\n// Same compares exactly.\nfunc Same(a, b float64) bool { return a == b }\n",

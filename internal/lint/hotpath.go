@@ -69,6 +69,7 @@ func (r HotPathRule) CheckModule(m *Module) []Finding {
 	return out
 }
 
+// factPos keys a finding by the position of its fact.
 func factPos(f Fact) any { return f.Pos }
 
 // ObsRing flags allocation on the observability hot path: the per-event
