@@ -602,14 +602,7 @@ func TestBerkeleyMatchesDir0BOpsWithFreeDirectory(t *testing.T) {
 // --- Transactions and first refs ----------------------------------------------
 
 func TestFirstReferencesAreFree(t *testing.T) {
-	for _, mk := range []func() (Engine, error){
-		func() (Engine, error) { return NewDir1NB(cfg4()) },
-		func() (Engine, error) { return NewDir0B(cfg4()) },
-		func() (Engine, error) { return NewDirnNB(cfg4()) },
-		func() (Engine, error) { return NewWTI(cfg4()) },
-		func() (Engine, error) { return NewDragon(cfg4()) },
-	} {
-		e := must(mk())
+	for _, e := range allEngines(t, cfg4()) {
 		f := newFeeder(e)
 		for b := uint64(0); b < 50; b++ {
 			if b%2 == 0 {
@@ -686,25 +679,39 @@ func TestInstructionsCauseNoTraffic(t *testing.T) {
 	}
 }
 
+// TestAccessPanicsOnBadCache checks the cache-range guard of every
+// engine, through both the interning and the pre-interned entry points.
 func TestAccessPanicsOnBadCache(t *testing.T) {
-	e := must(NewDir0B(cfg4()))
-	for _, c := range []int{-1, 4} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Access(cache=%d) did not panic", c)
-				}
-			}()
-			e.Access(c, trace.Read, 1, true)
-		}()
+	cfg := cfg4()
+	for _, e := range allEngines(t, cfg) {
+		ie := e.(IndexedEngine)
+		for _, c := range []int{-1, cfg.Caches} {
+			for _, via := range []struct {
+				name   string
+				access func()
+			}{
+				{"Access", func() { e.Access(c, trace.Read, 1, true) }},
+				{"AccessID", func() { ie.AccessID(c, trace.Read, 1, 0, true) }},
+			} {
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Errorf("%s: %s(cache=%d) did not panic", e.Name(), via.name, c)
+						}
+					}()
+					via.access()
+				}()
+			}
+		}
 	}
 }
 
-// allEngines builds one of every scheme for cross-cutting tests.
+// allEngines builds one of every scheme NewByName lists for cross-cutting
+// tests.
 func allEngines(t *testing.T, cfg Config) []Engine {
 	t.Helper()
 	var out []Engine
-	for _, name := range []string{"dir1nb", "dir2nb", "dirnnb", "dir0b", "dir1b", "dir2b", "codedset", "tang", "wti", "dragon", "berkeley"} {
+	for _, name := range EngineNames() {
 		e, err := NewByName(name, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

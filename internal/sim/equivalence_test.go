@@ -105,6 +105,11 @@ func engineDigest(t *testing.T, r Result, eng coherence.Engine, blocks []uint64)
 // interface, so Run cannot take any in-memory fast path.
 type nextOnlyReader struct{ trace.Reader }
 
+// unboundEngine hides an engine's IndexedEngine methods behind the bare
+// Engine interface, so Run cannot bind it to the decoder's block-id table
+// and must drive it through Access, which interns inside the engine.
+type unboundEngine struct{ coherence.Engine }
+
 // driverShapes are the ways of driving Run that must all reproduce the
 // same per-engine digests: the goldens pin results, not the driver that
 // produced them. The first is the shape the goldens were generated with —
@@ -115,11 +120,13 @@ var driverShapes = []struct {
 	together  bool // all engines in one Run, else one Run per engine
 	parallel  int
 	streaming bool // read through nextOnlyReader
+	unbound   bool // wrap each engine in unboundEngine
 }{
 	{name: "per-engine"},
 	{name: "all-engines-parallel1", together: true, parallel: 1},
 	{name: "all-engines-parallel4", together: true, parallel: 4},
 	{name: "per-engine-streaming", streaming: true},
+	{name: "per-engine-unbound", unbound: true},
 }
 
 // computeEquivalenceDigests runs every registered engine over every
@@ -148,6 +155,9 @@ func computeEquivalenceDigests(t *testing.T, s int) map[string]string {
 					t.Fatal(err)
 				}
 				engines[i], runs[i] = eng, []coherence.Engine{eng}
+				if shape.unbound {
+					runs[i] = []coherence.Engine{unboundEngine{eng}}
+				}
 			}
 			if shape.together {
 				runs = [][]coherence.Engine{engines}
