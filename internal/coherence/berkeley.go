@@ -19,10 +19,7 @@ type Berkeley struct {
 	*DirEngine
 }
 
-var (
-	_ Engine        = (*Berkeley)(nil)
-	_ ModelAdjuster = (*Berkeley)(nil)
-)
+var _ ModelAdjuster = (*Berkeley)(nil)
 
 // NewBerkeley returns the Berkeley Ownership cost-model engine.
 func NewBerkeley(cfg Config) (*Berkeley, error) {

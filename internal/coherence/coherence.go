@@ -1,9 +1,12 @@
 // Package coherence implements the cache-consistency protocol engines the
 // paper evaluates: the directory family Dir_i{B,NB} of Section 2's
-// classification (Dir1NB, Dir_iNB, Dir_nNB, Dir0B, Dir_iB, and the Section
-// 6 coded-set variant), and the snoopy protocols used for comparison —
-// Write-Through-With-Invalidate and Dragon — plus the Berkeley Ownership
-// cost model derived in Section 5.
+// classification (Dir1NB, Dir_iNB, Dir_nNB, Dir0B, Dir_iB, Tang, and the
+// Section 6 coded-set variant), and the snoopy protocols used for
+// comparison — Write-Through-With-Invalidate and Dragon — plus the
+// Berkeley Ownership cost model derived in Section 5. Beyond the paper it
+// adds the snoopy protocols MESI, MOESI, Write-Once, Firefly, a
+// competitive-update variant of Dragon (Competitive) and Rudolph–Segall
+// read broadcast (ReadBroadcast).
 //
 // An engine consumes one classified memory reference at a time and
 // maintains two things:
@@ -329,16 +332,11 @@ func (t *blockStates) ensure(id blockid.ID) {
 		return
 	}
 	n := int(id) + 1 + len(t.sharers)
-	sharers := make([]bitset.Set, n)
-	copy(sharers, t.sharers)
-	dirty := make([]bool, n)
-	copy(dirty, t.dirty)
-	owner := make([]int32, n)
-	copy(owner, t.owner)
-	for i := len(t.owner); i < n; i++ {
-		owner[i] = -1
+	old := len(t.owner)
+	t.sharers, t.dirty, t.owner = grow(t.sharers, n), grow(t.dirty, n), grow(t.owner, n)
+	for i := old; i < n; i++ {
+		t.owner[i] = -1
 	}
-	t.sharers, t.dirty, t.owner = sharers, dirty, owner
 }
 
 // appendKey writes the canonical encoding of one block's ground truth: the

@@ -6,7 +6,6 @@ import (
 	"dirsim/internal/bitset"
 	"dirsim/internal/blockid"
 	"dirsim/internal/bus"
-	"dirsim/internal/cache"
 	"dirsim/internal/events"
 	"dirsim/internal/trace"
 )
@@ -26,16 +25,9 @@ import (
 // argument (pay at most a constant factor over the offline-optimal
 // choice).
 type Competitive struct {
-	name      string
+	engineCore
 	threshold int
-	cfg       Config
-
-	stats     Stats
-	tab       *blockid.Table
 	st        competitiveStates
-	replacers []cache.Replacer
-	txn       bool
-	last      events.Type
 }
 
 // competitiveStates tracks, in parallel arrays indexed by block id:
@@ -56,19 +48,9 @@ func (t *competitiveStates) ensure(id blockid.ID, caches int) {
 		return
 	}
 	n := int(id) + 1 + len(t.sharers)
-	sharers := make([]bitset.Set, n)
-	copy(sharers, t.sharers)
-	memStale := make([]bool, n)
-	copy(memStale, t.memStale)
-	unused := make([]int32, n*caches)
-	copy(unused, t.unused)
-	t.sharers, t.memStale, t.unused = sharers, memStale, unused
+	t.sharers, t.memStale = grow(t.sharers, n), grow(t.memStale, n)
+	t.unused = grow(t.unused, n*caches)
 }
-
-var (
-	_ Engine        = (*Competitive)(nil)
-	_ IndexedEngine = (*Competitive)(nil)
-)
 
 // NewCompetitive returns a competitive-update engine that self-invalidates
 // a copy after threshold consecutive foreign updates. threshold must be at
@@ -77,95 +59,34 @@ func NewCompetitive(threshold int, cfg Config) (*Competitive, error) {
 	if threshold < 1 {
 		return nil, fmt.Errorf("coherence: competitive threshold %d must be at least 1", threshold)
 	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	repl, err := cfg.newReplacers()
+	core, err := newCore(fmt.Sprintf("Competitive%d", threshold), cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Competitive{
-		name:      fmt.Sprintf("Competitive%d", threshold),
-		threshold: threshold,
-		cfg:       cfg,
-		tab:       blockid.New(),
-		replacers: repl,
-	}, nil
-}
-
-// Name implements Engine.
-func (e *Competitive) Name() string { return e.name }
-
-// Caches implements Engine.
-func (e *Competitive) Caches() int { return e.cfg.Caches }
-
-// Stats implements Engine.
-func (e *Competitive) Stats() *Stats { return &e.stats }
-
-// ResetStats implements Engine.
-func (e *Competitive) ResetStats() { e.stats = Stats{} }
-
-// AccessInstrs implements IndexedEngine: n coalesced instruction fetches.
-func (e *Competitive) AccessInstrs(n uint64) {
-	e.stats.Refs += n
-	e.stats.Events.Add(events.Instr, n)
+	return &Competitive{engineCore: core, threshold: threshold}, nil
 }
 
 // Threshold returns the self-invalidation threshold k.
 func (e *Competitive) Threshold() int { return e.threshold }
 
-func (e *Competitive) event(t events.Type) {
-	e.stats.Events.Inc(t)
-	e.last = t
-}
-
-func (e *Competitive) emit(op bus.Op) {
-	e.stats.Ops.Inc(op)
-	if op == bus.OpMemRead || op == bus.OpWriteBack {
-		e.stats.MemAccesses++
-	}
-	e.txn = true
-}
-
-// BindBlocks implements IndexedEngine.
-func (e *Competitive) BindBlocks(t *blockid.Table) bool {
-	if e.tab.Len() > 0 {
-		return false
-	}
-	e.tab = t
-	return true
-}
-
 // Access implements Engine: intern the block and delegate to AccessID.
 func (e *Competitive) Access(c int, kind trace.Kind, block uint64, first bool) events.Type {
-	var id blockid.ID
-	if kind != trace.Instr {
-		id, _ = e.tab.Intern(block)
-	}
-	return e.AccessID(c, kind, block, id, first)
+	return e.AccessID(c, kind, block, e.intern(kind, block), first)
 }
 
 // AccessID implements IndexedEngine.
 func (e *Competitive) AccessID(c int, kind trace.Kind, block uint64, id blockid.ID, first bool) events.Type {
-	if c < 0 || c >= e.cfg.Caches {
-		panic(fmt.Sprintf("coherence: cache id %d out of range [0,%d)", c, e.cfg.Caches))
-	}
-	e.stats.Refs++
-	e.txn = false
+	e.begin(c)
 	switch kind {
 	case trace.Instr:
 		e.event(events.Instr)
+		return events.Instr
 	case trace.Read:
 		e.read(c, block, id, first)
 	case trace.Write:
 		e.write(c, block, id, first)
 	}
-	if e.txn {
-		e.stats.Transactions++
-	}
-	if kind != trace.Instr {
-		e.stats.recordPerCache(c, e.cfg.Caches, e.last)
-	}
+	e.end(c)
 	return e.last
 }
 
@@ -255,9 +176,7 @@ func (e *Competitive) chargeUpdate(id blockid.ID, writer int) {
 		e.st.sharers[id].Remove(h)
 		e.st.unused[base+h] = 0
 		e.stats.PointerEvictions++ // reuse the "copies dropped by policy" counter
-		if e.replacers != nil {
-			e.replacers[h].Remove(id)
-		}
+		e.removeFromReplacer(h, id)
 	}
 }
 
@@ -279,12 +198,6 @@ func (e *Competitive) fill(c int, block uint64, id blockid.ID) {
 		e.emit(bus.OpWriteBack)
 		e.stats.EvictionWriteBacks++
 		e.st.memStale[victim] = false
-	}
-}
-
-func (e *Competitive) touch(c int, id blockid.ID) {
-	if e.replacers != nil {
-		e.replacers[c].Touch(id)
 	}
 }
 

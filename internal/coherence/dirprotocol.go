@@ -26,30 +26,18 @@ import (
 // policy: clean blocks may be cached anywhere the store permits, a dirty
 // block lives in exactly one cache, and a write removes all other copies.
 type DirEngine struct {
-	name      string
-	cfg       Config
-	store     directory.Store
-	stats     Stats
-	tab       *blockid.Table
-	state     blockStates
-	replacers []cache.Replacer
+	engineCore
+	store directory.Store
+	state blockStates
 
 	// exclusive marks Dir1NB: a block lives in at most one cache, so a
 	// write hit needs no directory query at all and misses carry their
 	// single invalidation with the write-back/fetch request.
 	exclusive bool
-	// probesPerLookup models Tang's duplicate-directory search cost in
-	// directory accesses (1 for indexed stores, n for Tang).
-	probesPerLookup int
 
 	// entries is the sparse-directory entry tracker (nil when the
 	// directory is memory-resident).
 	entries cache.Replacer
-
-	// txn tracks whether the reference being processed has used the bus.
-	txn bool
-	// last is the classification of the reference being processed.
-	last events.Type
 
 	// scratch is the reusable buffer handed to store.Targets on the
 	// per-reference path; it reaches steady-state capacity after the
@@ -57,34 +45,20 @@ type DirEngine struct {
 	scratch []int
 }
 
-var (
-	_ Engine        = (*DirEngine)(nil)
-	_ IndexedEngine = (*DirEngine)(nil)
-)
-
 // NewDirEngine assembles a directory engine around an arbitrary store. Most
 // callers want one of the named constructors below.
 func NewDirEngine(name string, store directory.Store, cfg Config) (*DirEngine, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	repl, err := cfg.newReplacers()
+	core, err := newCore(name, cfg)
 	if err != nil {
 		return nil, err
 	}
-	e := &DirEngine{
-		name:            name,
-		cfg:             cfg,
-		store:           store,
-		tab:             blockid.New(),
-		replacers:       repl,
-		probesPerLookup: 1,
-	}
+	e := &DirEngine{engineCore: core, store: store}
 	if lp, ok := store.(*directory.LimitedPointer); ok {
 		e.exclusive = lp.Pointers() == 1 && !lp.Broadcast()
 	}
 	if tg, ok := store.(*directory.Tang); ok {
-		e.probesPerLookup = tg.Probes()
+		// Tang's duplicate-directory search costs n directory accesses.
+		e.probes = tg.Probes()
 	}
 	if cfg.DirEntries > 0 {
 		lru, err := cache.NewLRU(cfg.DirEntries)
@@ -159,95 +133,29 @@ func NewCodedSet(cfg Config) (*DirEngine, error) {
 	return NewDirEngine("CodedSet", st, cfg)
 }
 
-// Name implements Engine.
-func (e *DirEngine) Name() string { return e.name }
-
-// Caches implements Engine.
-func (e *DirEngine) Caches() int { return e.cfg.Caches }
-
-// Stats implements Engine.
-func (e *DirEngine) Stats() *Stats { return &e.stats }
-
-// ResetStats implements Engine: tallies are zeroed, protocol state kept.
-func (e *DirEngine) ResetStats() { e.stats = Stats{} }
-
-// AccessInstrs implements IndexedEngine: n coalesced instruction fetches.
-func (e *DirEngine) AccessInstrs(n uint64) {
-	e.stats.Refs += n
-	e.stats.Events.Add(events.Instr, n)
-}
-
-// event records the reference's Table 4 classification.
-func (e *DirEngine) event(t events.Type) {
-	e.stats.Events.Inc(t)
-	e.last = t
-}
-
 // Store exposes the underlying directory organisation (for storage
 // accounting and tests).
 func (e *DirEngine) Store() directory.Store { return e.store }
 
-// emit records a bus operation; anything other than an overlapped
-// directory check marks the reference as a bus transaction.
-func (e *DirEngine) emit(op bus.Op) {
-	e.stats.Ops.Inc(op)
-	switch op {
-	case bus.OpDirCheckOverlapped:
-		e.stats.DirAccesses += uint64(e.probesPerLookup)
-	case bus.OpDirCheck:
-		e.stats.DirAccesses += uint64(e.probesPerLookup)
-		e.txn = true
-	case bus.OpMemRead:
-		e.stats.MemAccesses++
-		e.txn = true
-	case bus.OpWriteBack:
-		e.stats.MemAccesses++
-		e.txn = true
-	default:
-		e.txn = true
-	}
-}
-
-// BindBlocks implements IndexedEngine.
-func (e *DirEngine) BindBlocks(t *blockid.Table) bool {
-	if e.tab.Len() > 0 {
-		return false
-	}
-	e.tab = t
-	return true
-}
-
 // Access implements Engine: intern the block and delegate to AccessID.
 func (e *DirEngine) Access(c int, kind trace.Kind, block uint64, first bool) events.Type {
-	var id blockid.ID
-	if kind != trace.Instr {
-		id, _ = e.tab.Intern(block)
-	}
-	return e.AccessID(c, kind, block, id, first)
+	return e.AccessID(c, kind, block, e.intern(kind, block), first)
 }
 
 // AccessID implements IndexedEngine.
 func (e *DirEngine) AccessID(c int, kind trace.Kind, block uint64, id blockid.ID, first bool) events.Type {
-	if c < 0 || c >= e.cfg.Caches {
-		panic(fmt.Sprintf("coherence: cache id %d out of range [0,%d)", c, e.cfg.Caches))
-	}
-	e.stats.Refs++
-	e.txn = false
+	e.begin(c)
 	switch kind {
 	case trace.Instr:
 		// Instructions cause no consistency traffic (Section 4).
 		e.event(events.Instr)
+		return events.Instr
 	case trace.Read:
 		e.read(c, block, id, first)
 	case trace.Write:
 		e.write(c, block, id, first)
 	}
-	if e.txn {
-		e.stats.Transactions++
-	}
-	if kind != trace.Instr {
-		e.stats.recordPerCache(c, e.cfg.Caches, e.last)
-	}
+	e.end(c)
 	return e.last
 }
 
@@ -403,16 +311,7 @@ func (e *DirEngine) invalidateOthers(id blockid.ID, c int) {
 		}
 	}
 	// Ground truth: all other copies are gone.
-	for h := sh.Next(0); h >= 0; h = sh.Next(h + 1) {
-		if h != c {
-			e.removeFromReplacer(h, id)
-		}
-	}
-	keep := sh.Contains(c)
-	sh.Clear()
-	if keep {
-		sh.Add(c)
-	}
+	e.keepOnly(sh, id, c)
 }
 
 // invalidateCopy removes a single cache's copy (directed invalidation).
@@ -506,9 +405,7 @@ func (e *DirEngine) touch(c int, id blockid.ID) {
 }
 
 func (e *DirEngine) touchFinite(c int, id blockid.ID) {
-	if e.replacers != nil {
-		e.replacers[c].Touch(id)
-	}
+	e.engineCore.touch(c, id)
 	if e.entries != nil {
 		e.entries.Touch(id)
 	}
@@ -539,12 +436,6 @@ func (e *DirEngine) insertReplacer(c int, block uint64, id blockid.ID) {
 	}
 	st.sharers[victim].Remove(c)
 	e.store.Remove(victim, c)
-}
-
-func (e *DirEngine) removeFromReplacer(c int, id blockid.ID) {
-	if e.replacers != nil {
-		e.replacers[c].Remove(id)
-	}
 }
 
 // CheckInvariants implements Engine.

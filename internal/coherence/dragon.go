@@ -6,7 +6,6 @@ import (
 	"dirsim/internal/bitset"
 	"dirsim/internal/blockid"
 	"dirsim/internal/bus"
-	"dirsim/internal/cache"
 	"dirsim/internal/events"
 	"dirsim/internal/trace"
 )
@@ -20,19 +19,13 @@ import (
 // of the trace and its dominant cost is the write updates (Table 4's
 // wh-distrib row).
 type Dragon struct {
-	name string
-	cfg  Config
+	engineCore
 	// updatesMemory marks the Firefly variant: a write update also
 	// refreshes main memory (write-through for shared data), so memory
 	// is only ever stale for blocks written while privately held.
 	updatesMemory bool
 
-	stats     Stats
-	tab       *blockid.Table
-	st        dragonStates
-	replacers []cache.Replacer
-	txn       bool
-	last      events.Type
+	st dragonStates
 }
 
 // dragonStates is the ground truth under an update protocol, held as
@@ -51,17 +44,8 @@ func (t *dragonStates) ensure(id blockid.ID) {
 		return
 	}
 	n := int(id) + 1 + len(t.sharers)
-	sharers := make([]bitset.Set, n)
-	copy(sharers, t.sharers)
-	memStale := make([]bool, n)
-	copy(memStale, t.memStale)
-	t.sharers, t.memStale = sharers, memStale
+	t.sharers, t.memStale = grow(t.sharers, n), grow(t.memStale, n)
 }
-
-var (
-	_ Engine        = (*Dragon)(nil)
-	_ IndexedEngine = (*Dragon)(nil)
-)
 
 // NewDragon returns a Dragon engine.
 func NewDragon(cfg Config) (*Dragon, error) {
@@ -77,93 +61,31 @@ func NewFirefly(cfg Config) (*Dragon, error) {
 }
 
 func newUpdateEngine(name string, updatesMemory bool, cfg Config) (*Dragon, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	repl, err := cfg.newReplacers()
+	core, err := newCore(name, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Dragon{
-		name:          name,
-		updatesMemory: updatesMemory,
-		cfg:           cfg,
-		tab:           blockid.New(),
-		replacers:     repl,
-	}, nil
-}
-
-// Name implements Engine.
-func (e *Dragon) Name() string { return e.name }
-
-// Caches implements Engine.
-func (e *Dragon) Caches() int { return e.cfg.Caches }
-
-// Stats implements Engine.
-func (e *Dragon) Stats() *Stats { return &e.stats }
-
-// ResetStats implements Engine: tallies are zeroed, protocol state kept.
-func (e *Dragon) ResetStats() { e.stats = Stats{} }
-
-// AccessInstrs implements IndexedEngine: n coalesced instruction fetches.
-func (e *Dragon) AccessInstrs(n uint64) {
-	e.stats.Refs += n
-	e.stats.Events.Add(events.Instr, n)
-}
-
-// event records the reference's Table 4 classification.
-func (e *Dragon) event(t events.Type) {
-	e.stats.Events.Inc(t)
-	e.last = t
-}
-
-func (e *Dragon) emit(op bus.Op) {
-	e.stats.Ops.Inc(op)
-	if op == bus.OpMemRead || op == bus.OpWriteBack {
-		e.stats.MemAccesses++
-	}
-	e.txn = true
-}
-
-// BindBlocks implements IndexedEngine.
-func (e *Dragon) BindBlocks(t *blockid.Table) bool {
-	if e.tab.Len() > 0 {
-		return false
-	}
-	e.tab = t
-	return true
+	return &Dragon{engineCore: core, updatesMemory: updatesMemory}, nil
 }
 
 // Access implements Engine: intern the block and delegate to AccessID.
 func (e *Dragon) Access(c int, kind trace.Kind, block uint64, first bool) events.Type {
-	var id blockid.ID
-	if kind != trace.Instr {
-		id, _ = e.tab.Intern(block)
-	}
-	return e.AccessID(c, kind, block, id, first)
+	return e.AccessID(c, kind, block, e.intern(kind, block), first)
 }
 
 // AccessID implements IndexedEngine.
 func (e *Dragon) AccessID(c int, kind trace.Kind, block uint64, id blockid.ID, first bool) events.Type {
-	if c < 0 || c >= e.cfg.Caches {
-		panic(fmt.Sprintf("coherence: cache id %d out of range [0,%d)", c, e.cfg.Caches))
-	}
-	e.stats.Refs++
-	e.txn = false
+	e.begin(c)
 	switch kind {
 	case trace.Instr:
 		e.event(events.Instr)
+		return events.Instr
 	case trace.Read:
 		e.read(c, block, id, first)
 	case trace.Write:
 		e.write(c, block, id, first)
 	}
-	if e.txn {
-		e.stats.Transactions++
-	}
-	if kind != trace.Instr {
-		e.stats.recordPerCache(c, e.cfg.Caches, e.last)
-	}
+	e.end(c)
 	return e.last
 }
 
@@ -171,9 +93,7 @@ func (e *Dragon) read(c int, block uint64, id blockid.ID, first bool) {
 	e.st.ensure(id)
 	if e.st.sharers[id].Contains(c) {
 		e.event(events.ReadHit)
-		if e.replacers != nil {
-			e.replacers[c].Touch(id)
-		}
+		e.touch(c, id)
 		return
 	}
 	if first {
@@ -204,9 +124,7 @@ func (e *Dragon) read(c int, block uint64, id blockid.ID, first bool) {
 func (e *Dragon) write(c int, block uint64, id blockid.ID, first bool) {
 	e.st.ensure(id)
 	if e.st.sharers[id].Contains(c) {
-		if e.replacers != nil {
-			e.replacers[c].Touch(id)
-		}
+		e.touch(c, id)
 		if e.st.sharers[id].ContainsOther(c) {
 			// The shared line is pulled: broadcast the word so other
 			// copies stay current. Firefly's update also writes the

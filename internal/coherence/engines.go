@@ -38,9 +38,10 @@ func EngineNames() []string {
 	}
 }
 
-// NewByName constructs an engine from a scheme name such as "dir1nb",
-// "dir0b", "dir4b", "dirnnb", "codedset", "tang", "wti", "dragon" or
-// "berkeley". Names are case-insensitive.
+// NewByName constructs an engine from a scheme name: any name EngineNames
+// lists, dir<i>b, dir<i>nb or competitive<k> for any positive i or k, or
+// an alias such as "fullmap", "illinois" or "goodman". Names are
+// case-insensitive.
 func NewByName(name string, cfg Config) (Engine, error) {
 	n := strings.ToLower(strings.TrimSpace(name))
 	switch n {

@@ -121,14 +121,7 @@ func (e *MOESI) StateKey(blocks []uint64) string {
 	for _, blk := range blocks {
 		fmt.Fprintf(&b, "b%d:", blk)
 		id, ok := e.tab.Lookup(blk)
-		if !ok || int(id) >= len(e.st.sharers) || e.st.sharers[id].Empty() {
-			b.WriteString("-")
-		} else {
-			b.WriteString(e.st.sharers[id].String())
-			if e.st.memStale[id] {
-				fmt.Fprintf(&b, "!%d", e.st.owner[id])
-			}
-		}
+		e.state.appendKey(&b, id, ok)
 		b.WriteString(";")
 	}
 	return b.String()
@@ -137,10 +130,7 @@ func (e *MOESI) StateKey(blocks []uint64) string {
 // Truth implements Inspector.
 func (e *MOESI) Truth(block uint64) ([]int, bool) {
 	id, ok := e.tab.Lookup(block)
-	if !ok || int(id) >= len(e.st.sharers) || e.st.sharers[id].Empty() {
-		return nil, false
-	}
-	return e.st.sharers[id].Elems(), e.st.memStale[id]
+	return e.state.truth(id, ok)
 }
 
 // StateKey implements Inspector: holder set, staleness, and every holder's

@@ -59,8 +59,8 @@ func TestCheckInvariantsFiresOnCorruption(t *testing.T) {
 		{"moesi", func(t *testing.T, e Engine) string {
 			m := e.(*MOESI)
 			id, _ := m.tab.Lookup(blk)
-			m.st.memStale[id] = true
-			m.st.owner[id] = 3 // holds no copy
+			m.state.dirty[id] = true
+			m.state.owner[id] = 3 // holds no copy
 			return "owner"
 		}},
 		{"competitive4", func(t *testing.T, e Engine) string {

@@ -3,10 +3,8 @@ package coherence
 import (
 	"fmt"
 
-	"dirsim/internal/bitset"
 	"dirsim/internal/blockid"
 	"dirsim/internal/bus"
-	"dirsim/internal/cache"
 	"dirsim/internal/events"
 	"dirsim/internal/trace"
 )
@@ -23,138 +21,50 @@ import (
 // shared while memory is stale, with a designated owner. The event
 // classification reflects it — every read miss to such a block is
 // rm-blk-drty, no matter how many readers have joined since the write.
+//
+// The ground truth is blockStates: dirty means memory is stale, and owner
+// is the holder responsible for the stale data. The protocol keeps "empty
+// sharers ⇒ memory current" (the owner's eviction flushes), so an empty
+// slot is indistinguishable from an absent entry of the map
+// representation this replaced.
 type MOESI struct {
-	cfg       Config
-	stats     Stats
-	tab       *blockid.Table
-	st        moesiStates
-	replacers []cache.Replacer
-	txn       bool
-	last      events.Type
+	engineCore
+	state blockStates
 }
-
-// moesiStates is the ground truth held as parallel arrays indexed by block
-// id: holders, whether memory is stale, and which holder owns the stale
-// data. The protocol keeps "empty sharers ⇒ memory current" (the owner's
-// eviction flushes), so an empty slot is indistinguishable from an absent
-// entry of the map representation this replaced.
-type moesiStates struct {
-	sharers  []bitset.Set
-	memStale []bool
-	owner    []int32 // valid when memStale
-}
-
-func (t *moesiStates) ensure(id blockid.ID) {
-	if int(id) < len(t.sharers) {
-		return
-	}
-	n := int(id) + 1 + len(t.sharers)
-	sharers := make([]bitset.Set, n)
-	copy(sharers, t.sharers)
-	memStale := make([]bool, n)
-	copy(memStale, t.memStale)
-	owner := make([]int32, n)
-	copy(owner, t.owner)
-	for i := len(t.owner); i < n; i++ {
-		owner[i] = -1
-	}
-	t.sharers, t.memStale, t.owner = sharers, memStale, owner
-}
-
-var (
-	_ Engine        = (*MOESI)(nil)
-	_ IndexedEngine = (*MOESI)(nil)
-)
 
 // NewMOESI returns a MOESI engine.
 func NewMOESI(cfg Config) (*MOESI, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	repl, err := cfg.newReplacers()
+	core, err := newCore("MOESI", cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &MOESI{cfg: cfg, tab: blockid.New(), replacers: repl}, nil
-}
-
-// Name implements Engine.
-func (e *MOESI) Name() string { return "MOESI" }
-
-// Caches implements Engine.
-func (e *MOESI) Caches() int { return e.cfg.Caches }
-
-// Stats implements Engine.
-func (e *MOESI) Stats() *Stats { return &e.stats }
-
-// ResetStats implements Engine.
-func (e *MOESI) ResetStats() { e.stats = Stats{} }
-
-// AccessInstrs implements IndexedEngine: n coalesced instruction fetches.
-func (e *MOESI) AccessInstrs(n uint64) {
-	e.stats.Refs += n
-	e.stats.Events.Add(events.Instr, n)
-}
-
-func (e *MOESI) event(t events.Type) {
-	e.stats.Events.Inc(t)
-	e.last = t
-}
-
-func (e *MOESI) emit(op bus.Op) {
-	e.stats.Ops.Inc(op)
-	switch op {
-	case bus.OpMemRead, bus.OpWriteBack:
-		e.stats.MemAccesses++
-	}
-	e.txn = true
-}
-
-// BindBlocks implements IndexedEngine.
-func (e *MOESI) BindBlocks(t *blockid.Table) bool {
-	if e.tab.Len() > 0 {
-		return false
-	}
-	e.tab = t
-	return true
+	return &MOESI{engineCore: core}, nil
 }
 
 // Access implements Engine: intern the block and delegate to AccessID.
 func (e *MOESI) Access(c int, kind trace.Kind, block uint64, first bool) events.Type {
-	var id blockid.ID
-	if kind != trace.Instr {
-		id, _ = e.tab.Intern(block)
-	}
-	return e.AccessID(c, kind, block, id, first)
+	return e.AccessID(c, kind, block, e.intern(kind, block), first)
 }
 
 // AccessID implements IndexedEngine.
 func (e *MOESI) AccessID(c int, kind trace.Kind, block uint64, id blockid.ID, first bool) events.Type {
-	if c < 0 || c >= e.cfg.Caches {
-		panic(fmt.Sprintf("coherence: cache id %d out of range [0,%d)", c, e.cfg.Caches))
-	}
-	e.stats.Refs++
-	e.txn = false
+	e.begin(c)
 	switch kind {
 	case trace.Instr:
 		e.event(events.Instr)
+		return events.Instr
 	case trace.Read:
 		e.read(c, block, id, first)
 	case trace.Write:
 		e.write(c, block, id, first)
 	}
-	if e.txn {
-		e.stats.Transactions++
-	}
-	if kind != trace.Instr {
-		e.stats.recordPerCache(c, e.cfg.Caches, e.last)
-	}
+	e.end(c)
 	return e.last
 }
 
 func (e *MOESI) read(c int, block uint64, id blockid.ID, first bool) {
-	e.st.ensure(id)
-	if e.st.sharers[id].Contains(c) {
+	e.state.ensure(id)
+	if e.state.sharers[id].Contains(c) {
 		e.event(events.ReadHit)
 		e.touch(c, id)
 		return
@@ -165,12 +75,12 @@ func (e *MOESI) read(c int, block uint64, id blockid.ID, first bool) {
 		return
 	}
 	switch {
-	case e.st.memStale[id]:
+	case e.state.dirty[id]:
 		// The owner supplies the block cache-to-cache and stays Owned;
 		// memory remains stale — MOESI's defining move.
 		e.event(events.ReadMissDirty)
 		e.emit(bus.OpCacheRead)
-	case !e.st.sharers[id].Empty():
+	case !e.state.sharers[id].Empty():
 		// Illinois-style cache-to-cache supply of clean data.
 		e.event(events.ReadMissClean)
 		e.emit(bus.OpCacheRead)
@@ -182,25 +92,25 @@ func (e *MOESI) read(c int, block uint64, id blockid.ID, first bool) {
 }
 
 func (e *MOESI) write(c int, block uint64, id blockid.ID, first bool) {
-	e.st.ensure(id)
-	if e.st.sharers[id].Contains(c) {
+	e.state.ensure(id)
+	if e.state.sharers[id].Contains(c) {
 		e.touch(c, id)
-		others := e.st.sharers[id].CountExcluding(c)
+		others := e.state.sharers[id].CountExcluding(c)
 		switch {
-		case e.st.memStale[id] && int(e.st.owner[id]) == c && others == 0:
+		case e.state.dirty[id] && int(e.state.owner[id]) == c && others == 0:
 			// Modified: silent.
 			e.event(events.WriteHitDirty)
 			return
 		case others == 0:
 			// Exclusive: silent upgrade (memory current, sole copy).
 			e.event(events.WriteHitCleanSole)
-			e.st.memStale[id] = true
-			e.st.owner[id] = int32(c)
+			e.state.dirty[id] = true
+			e.state.owner[id] = int32(c)
 			return
 		default:
 			// Shared or Owned-with-sharers: one invalidation broadcast.
 			e.stats.InvalFanout.Observe(others)
-			if e.st.memStale[id] {
+			if e.state.dirty[id] {
 				// An Owned block being rewritten: classified like a
 				// dirty hit but the sharers must still go.
 				e.event(events.WriteHitDirty)
@@ -210,58 +120,42 @@ func (e *MOESI) write(c int, block uint64, id blockid.ID, first bool) {
 			e.emit(bus.OpBroadcastInvalidate)
 			e.stats.InvalEvents++
 			e.stats.BroadcastInvals++
-			e.dropOthers(id, c)
-			e.st.memStale[id] = true
-			e.st.owner[id] = int32(c)
+			e.keepOnly(&e.state.sharers[id], id, c)
+			e.state.dirty[id] = true
+			e.state.owner[id] = int32(c)
 			return
 		}
 	}
 	if first {
 		e.event(events.WriteMissFirst)
-		e.st.sharers[id].Add(c)
-		e.st.memStale[id] = true
-		e.st.owner[id] = int32(c)
+		e.state.sharers[id].Add(c)
+		e.state.dirty[id] = true
+		e.state.owner[id] = int32(c)
 		e.insertReplacer(c, block, id)
 		return
 	}
 	switch {
-	case e.st.memStale[id]:
+	case e.state.dirty[id]:
 		// Read-for-ownership served by the owner; its copy and every
 		// other sharer's are invalidated by the snooped request.
 		e.event(events.WriteMissDirty)
 		e.emit(bus.OpCacheRead)
-	case !e.st.sharers[id].Empty():
+	case !e.state.sharers[id].Empty():
 		e.event(events.WriteMissClean)
 		e.emit(bus.OpCacheRead)
 	default:
 		e.event(events.WriteMissUncached)
 		e.emit(bus.OpMemRead)
 	}
-	e.dropOthers(id, c)
-	e.st.sharers[id].Add(c)
-	e.st.memStale[id] = true
-	e.st.owner[id] = int32(c)
+	e.keepOnly(&e.state.sharers[id], id, c)
+	e.state.sharers[id].Add(c)
+	e.state.dirty[id] = true
+	e.state.owner[id] = int32(c)
 	e.insertReplacer(c, block, id)
 }
 
-// dropOthers removes every copy except cache c's (snooping delivers the
-// invalidation for free).
-func (e *MOESI) dropOthers(id blockid.ID, c int) {
-	sh := &e.st.sharers[id]
-	for h := sh.Next(0); h >= 0; h = sh.Next(h + 1) {
-		if h != c && e.replacers != nil {
-			e.replacers[h].Remove(id)
-		}
-	}
-	keep := sh.Contains(c)
-	sh.Clear()
-	if keep {
-		sh.Add(c)
-	}
-}
-
 func (e *MOESI) fill(c int, block uint64, id blockid.ID) {
-	e.st.sharers[id].Add(c)
+	e.state.sharers[id].Add(c)
 	e.insertReplacer(c, block, id)
 }
 
@@ -274,23 +168,17 @@ func (e *MOESI) insertReplacer(c int, block uint64, id blockid.ID) {
 		return
 	}
 	e.stats.Evictions++
-	e.st.ensure(victim)
-	e.st.sharers[victim].Remove(c)
-	if e.st.memStale[victim] && int(e.st.owner[victim]) == c {
+	e.state.ensure(victim)
+	e.state.sharers[victim].Remove(c)
+	if e.state.dirty[victim] && int(e.state.owner[victim]) == c {
 		// The owner leaves: flush, and if sharers remain, ownership
 		// passes to one of them (memory is now current, so it need
 		// not — Owned exists to avoid this write-back on *reads*, but
 		// an eviction forces it).
 		e.emit(bus.OpWriteBack)
 		e.stats.EvictionWriteBacks++
-		e.st.memStale[victim] = false
-		e.st.owner[victim] = -1
-	}
-}
-
-func (e *MOESI) touch(c int, id blockid.ID) {
-	if e.replacers != nil {
-		e.replacers[c].Touch(id)
+		e.state.dirty[victim] = false
+		e.state.owner[victim] = -1
 	}
 }
 
@@ -298,9 +186,9 @@ func (e *MOESI) touch(c int, id blockid.ID) {
 func (e *MOESI) CheckInvariants() error {
 	// Unused and fully evicted slots have memStale == false (the owner's
 	// eviction flushes), so only live blocks reach the error arm.
-	for i := range e.st.sharers {
-		if e.st.memStale[i] && !e.st.sharers[i].Contains(int(e.st.owner[i])) {
-			return fmt.Errorf("MOESI: block %#x stale but owner %d holds no copy", e.tab.Block(blockid.ID(i)), e.st.owner[i])
+	for i := range e.state.sharers {
+		if e.state.dirty[i] && !e.state.sharers[i].Contains(int(e.state.owner[i])) {
+			return fmt.Errorf("MOESI: block %#x stale but owner %d holds no copy", e.tab.Block(blockid.ID(i)), e.state.owner[i])
 		}
 	}
 	return nil

@@ -6,7 +6,6 @@ import (
 	"dirsim/internal/bitset"
 	"dirsim/internal/blockid"
 	"dirsim/internal/bus"
-	"dirsim/internal/cache"
 	"dirsim/internal/events"
 	"dirsim/internal/trace"
 )
@@ -25,13 +24,8 @@ import (
 // state-change model itself, ReadBroadcast's event frequencies differ from
 // the Dir0B/WTI family — the point of the optimisation.
 type ReadBroadcast struct {
-	cfg       Config
-	stats     Stats
-	tab       *blockid.Table
-	st        rbStates
-	replacers []cache.Replacer
-	txn       bool
-	last      events.Type
+	engineCore
+	st rbStates
 }
 
 // rbStates tracks, in parallel arrays indexed by block id: holders, the
@@ -52,108 +46,41 @@ func (t *rbStates) ensure(id blockid.ID) {
 		return
 	}
 	n := int(id) + 1 + len(t.sharers)
-	sharers := make([]bitset.Set, n)
-	copy(sharers, t.sharers)
-	snarfers := make([]bitset.Set, n)
-	copy(snarfers, t.snarfers)
-	dirty := make([]bool, n)
-	copy(dirty, t.dirty)
-	owner := make([]int32, n)
-	copy(owner, t.owner)
-	for i := len(t.owner); i < n; i++ {
-		owner[i] = -1
+	old := len(t.owner)
+	t.sharers, t.snarfers = grow(t.sharers, n), grow(t.snarfers, n)
+	t.dirty, t.owner = grow(t.dirty, n), grow(t.owner, n)
+	for i := old; i < n; i++ {
+		t.owner[i] = -1
 	}
-	t.sharers, t.snarfers, t.dirty, t.owner = sharers, snarfers, dirty, owner
 }
-
-var (
-	_ Engine        = (*ReadBroadcast)(nil)
-	_ IndexedEngine = (*ReadBroadcast)(nil)
-)
 
 // NewReadBroadcast returns a read-broadcast engine.
 func NewReadBroadcast(cfg Config) (*ReadBroadcast, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	repl, err := cfg.newReplacers()
+	core, err := newCore("ReadBroadcast", cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &ReadBroadcast{cfg: cfg, tab: blockid.New(), replacers: repl}, nil
-}
-
-// Name implements Engine.
-func (e *ReadBroadcast) Name() string { return "ReadBroadcast" }
-
-// Caches implements Engine.
-func (e *ReadBroadcast) Caches() int { return e.cfg.Caches }
-
-// Stats implements Engine.
-func (e *ReadBroadcast) Stats() *Stats { return &e.stats }
-
-// ResetStats implements Engine.
-func (e *ReadBroadcast) ResetStats() { e.stats = Stats{} }
-
-// AccessInstrs implements IndexedEngine: n coalesced instruction fetches.
-func (e *ReadBroadcast) AccessInstrs(n uint64) {
-	e.stats.Refs += n
-	e.stats.Events.Add(events.Instr, n)
-}
-
-func (e *ReadBroadcast) event(t events.Type) {
-	e.stats.Events.Inc(t)
-	e.last = t
-}
-
-func (e *ReadBroadcast) emit(op bus.Op) {
-	e.stats.Ops.Inc(op)
-	switch op {
-	case bus.OpMemRead, bus.OpWriteBack, bus.OpWriteThrough:
-		e.stats.MemAccesses++
-	}
-	e.txn = true
-}
-
-// BindBlocks implements IndexedEngine.
-func (e *ReadBroadcast) BindBlocks(t *blockid.Table) bool {
-	if e.tab.Len() > 0 {
-		return false
-	}
-	e.tab = t
-	return true
+	return &ReadBroadcast{engineCore: core}, nil
 }
 
 // Access implements Engine: intern the block and delegate to AccessID.
 func (e *ReadBroadcast) Access(c int, kind trace.Kind, block uint64, first bool) events.Type {
-	var id blockid.ID
-	if kind != trace.Instr {
-		id, _ = e.tab.Intern(block)
-	}
-	return e.AccessID(c, kind, block, id, first)
+	return e.AccessID(c, kind, block, e.intern(kind, block), first)
 }
 
 // AccessID implements IndexedEngine.
 func (e *ReadBroadcast) AccessID(c int, kind trace.Kind, block uint64, id blockid.ID, first bool) events.Type {
-	if c < 0 || c >= e.cfg.Caches {
-		panic(fmt.Sprintf("coherence: cache id %d out of range [0,%d)", c, e.cfg.Caches))
-	}
-	e.stats.Refs++
-	e.txn = false
+	e.begin(c)
 	switch kind {
 	case trace.Instr:
 		e.event(events.Instr)
+		return events.Instr
 	case trace.Read:
 		e.read(c, block, id, first)
 	case trace.Write:
 		e.write(c, block, id, first)
 	}
-	if e.txn {
-		e.stats.Transactions++
-	}
-	if kind != trace.Instr {
-		e.stats.recordPerCache(c, e.cfg.Caches, e.last)
-	}
+	e.end(c)
 	return e.last
 }
 
@@ -238,9 +165,7 @@ func (e *ReadBroadcast) invalidateOthers(id blockid.ID, c int) {
 	for h := sh.Next(0); h >= 0; h = sh.Next(h + 1) {
 		if h != c {
 			e.st.snarfers[id].Add(h)
-			if e.replacers != nil {
-				e.replacers[h].Remove(id)
-			}
+			e.removeFromReplacer(h, id)
 		}
 	}
 	keep := sh.Contains(c)
@@ -299,12 +224,6 @@ func (e *ReadBroadcast) dropVictim(c int, victim blockid.ID) {
 	if e.st.dirty[victim] && int(e.st.owner[victim]) == c {
 		e.st.dirty[victim] = false
 		e.st.owner[victim] = -1
-	}
-}
-
-func (e *ReadBroadcast) touch(c int, id blockid.ID) {
-	if e.replacers != nil {
-		e.replacers[c].Touch(id)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 
 	"dirsim/internal/blockid"
 	"dirsim/internal/bus"
-	"dirsim/internal/cache"
 	"dirsim/internal/events"
 	"dirsim/internal/trace"
 )
@@ -31,8 +30,7 @@ import (
 //     supplied cache-to-cache; writes to Shared copies broadcast one
 //     invalidation cycle.
 type SnoopyInval struct {
-	name string
-	cfg  Config
+	engineCore
 	// table maps each event to the bus operations one occurrence costs.
 	table map[events.Type][]bus.Op
 	// writeBackOnEvict controls finite-cache behaviour: copy-back
@@ -40,37 +38,17 @@ type SnoopyInval struct {
 	// silently (memory is already current).
 	writeBackOnEvict bool
 
-	stats     Stats
-	tab       *blockid.Table
-	state     blockStates
-	replacers []cache.Replacer
-	txn       bool
-	last      events.Type
+	state blockStates
 }
-
-var (
-	_ Engine        = (*SnoopyInval)(nil)
-	_ IndexedEngine = (*SnoopyInval)(nil)
-)
 
 // NewSnoopyInval assembles a snoopy invalidation engine from a per-event
 // operation table. Most callers want NewWTI, NewWriteOnce or NewMESI.
 func NewSnoopyInval(name string, table map[events.Type][]bus.Op, writeBackOnEvict bool, cfg Config) (*SnoopyInval, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	repl, err := cfg.newReplacers()
+	core, err := newCore(name, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &SnoopyInval{
-		name:             name,
-		cfg:              cfg,
-		table:            table,
-		writeBackOnEvict: writeBackOnEvict,
-		tab:              blockid.New(),
-		replacers:        repl,
-	}, nil
+	return &SnoopyInval{engineCore: core, table: table, writeBackOnEvict: writeBackOnEvict}, nil
 }
 
 // NewWTI returns the Write-Through-With-Invalidate engine: all writes go to
@@ -136,82 +114,33 @@ func NewMESI(cfg Config) (*SnoopyInval, error) {
 	return NewSnoopyInval("MESI", t, true, cfg)
 }
 
-// Name implements Engine.
-func (e *SnoopyInval) Name() string { return e.name }
-
-// Caches implements Engine.
-func (e *SnoopyInval) Caches() int { return e.cfg.Caches }
-
-// Stats implements Engine.
-func (e *SnoopyInval) Stats() *Stats { return &e.stats }
-
-// ResetStats implements Engine: tallies are zeroed, protocol state kept.
-func (e *SnoopyInval) ResetStats() { e.stats = Stats{} }
-
-// AccessInstrs implements IndexedEngine: n coalesced instruction fetches.
-func (e *SnoopyInval) AccessInstrs(n uint64) {
-	e.stats.Refs += n
-	e.stats.Events.Add(events.Instr, n)
-}
-
-// event records the reference's Table 4 classification and emits its
+// classify records the reference's Table 4 classification and emits its
 // operations from the table.
-func (e *SnoopyInval) event(t events.Type) {
-	e.stats.Events.Inc(t)
-	e.last = t
+func (e *SnoopyInval) classify(t events.Type) {
+	e.event(t)
 	for _, op := range e.table[t] {
 		e.emit(op)
 	}
 }
 
-func (e *SnoopyInval) emit(op bus.Op) {
-	e.stats.Ops.Inc(op)
-	switch op {
-	case bus.OpMemRead, bus.OpWriteBack, bus.OpWriteThrough:
-		e.stats.MemAccesses++
-	}
-	e.txn = true
-}
-
-// BindBlocks implements IndexedEngine.
-func (e *SnoopyInval) BindBlocks(t *blockid.Table) bool {
-	if e.tab.Len() > 0 {
-		return false
-	}
-	e.tab = t
-	return true
-}
-
 // Access implements Engine: intern the block and delegate to AccessID.
 func (e *SnoopyInval) Access(c int, kind trace.Kind, block uint64, first bool) events.Type {
-	var id blockid.ID
-	if kind != trace.Instr {
-		id, _ = e.tab.Intern(block)
-	}
-	return e.AccessID(c, kind, block, id, first)
+	return e.AccessID(c, kind, block, e.intern(kind, block), first)
 }
 
 // AccessID implements IndexedEngine.
 func (e *SnoopyInval) AccessID(c int, kind trace.Kind, block uint64, id blockid.ID, first bool) events.Type {
-	if c < 0 || c >= e.cfg.Caches {
-		panic(fmt.Sprintf("coherence: cache id %d out of range [0,%d)", c, e.cfg.Caches))
-	}
-	e.stats.Refs++
-	e.txn = false
+	e.begin(c)
 	switch kind {
 	case trace.Instr:
 		e.event(events.Instr)
+		return events.Instr
 	case trace.Read:
 		e.read(c, block, id, first)
 	case trace.Write:
 		e.write(c, block, id, first)
 	}
-	if e.txn {
-		e.stats.Transactions++
-	}
-	if kind != trace.Instr {
-		e.stats.recordPerCache(c, e.cfg.Caches, e.last)
-	}
+	e.end(c)
 	return e.last
 }
 
@@ -219,24 +148,24 @@ func (e *SnoopyInval) read(c int, block uint64, id blockid.ID, first bool) {
 	e.state.ensure(id)
 	st := &e.state
 	if st.sharers[id].Contains(c) {
-		e.event(events.ReadHit)
+		e.classify(events.ReadHit)
 		e.touch(c, id)
 		return
 	}
 	if first {
-		e.event(events.ReadMissFirst)
+		e.classify(events.ReadMissFirst)
 		e.fill(c, block, id)
 		return
 	}
 	switch {
 	case st.dirty[id]:
-		e.event(events.ReadMissDirty)
+		e.classify(events.ReadMissDirty)
 		st.dirty[id] = false
 		st.owner[id] = -1
 	case !st.sharers[id].Empty():
-		e.event(events.ReadMissClean)
+		e.classify(events.ReadMissClean)
 	default:
-		e.event(events.ReadMissUncached)
+		e.classify(events.ReadMissUncached)
 	}
 	e.fill(c, block, id)
 }
@@ -247,58 +176,43 @@ func (e *SnoopyInval) write(c int, block uint64, id blockid.ID, first bool) {
 	if st.sharers[id].Contains(c) {
 		e.touch(c, id)
 		if st.dirty[id] {
-			e.event(events.WriteHitDirty)
+			e.classify(events.WriteHitDirty)
 		} else {
 			others := st.sharers[id].CountExcluding(c)
 			e.stats.InvalFanout.Observe(others)
 			if others == 0 {
-				e.event(events.WriteHitCleanSole)
+				e.classify(events.WriteHitCleanSole)
 			} else {
-				e.event(events.WriteHitCleanShared)
+				e.classify(events.WriteHitCleanShared)
 				e.stats.InvalEvents++
 				e.stats.BroadcastInvals++
 			}
 		}
-		e.invalidateOthers(id, c)
+		// Snooping delivers the invalidation of every other copy for free.
+		e.keepOnly(&st.sharers[id], id, c)
 		e.makeSole(id, c)
 		return
 	}
 	if first {
-		e.event(events.WriteMissFirst)
+		e.classify(events.WriteMissFirst)
 		e.makeSole(id, c)
 		e.insertReplacer(c, block, id)
 		return
 	}
 	switch {
 	case st.dirty[id]:
-		e.event(events.WriteMissDirty)
+		e.classify(events.WriteMissDirty)
 	case !st.sharers[id].Empty():
-		e.event(events.WriteMissClean)
+		e.classify(events.WriteMissClean)
 		e.stats.InvalFanout.Observe(st.sharers[id].Count())
 		e.stats.InvalEvents++
 		e.stats.BroadcastInvals++
 	default:
-		e.event(events.WriteMissUncached)
+		e.classify(events.WriteMissUncached)
 	}
-	e.invalidateOthers(id, c)
+	e.keepOnly(&st.sharers[id], id, c)
 	e.makeSole(id, c)
 	e.insertReplacer(c, block, id)
-}
-
-// invalidateOthers drops every other copy; snooping makes the delivery
-// free.
-func (e *SnoopyInval) invalidateOthers(id blockid.ID, c int) {
-	sh := &e.state.sharers[id]
-	for h := sh.Next(0); h >= 0; h = sh.Next(h + 1) {
-		if h != c && e.replacers != nil {
-			e.replacers[h].Remove(id)
-		}
-	}
-	keep := sh.Contains(c)
-	sh.Clear()
-	if keep {
-		sh.Add(c)
-	}
 }
 
 func (e *SnoopyInval) makeSole(id blockid.ID, c int) {
@@ -307,12 +221,6 @@ func (e *SnoopyInval) makeSole(id blockid.ID, c int) {
 	st.sharers[id].Add(c)
 	st.dirty[id] = true
 	st.owner[id] = int32(c)
-}
-
-func (e *SnoopyInval) touch(c int, id blockid.ID) {
-	if e.replacers != nil {
-		e.replacers[c].Touch(id)
-	}
 }
 
 func (e *SnoopyInval) fill(c int, block uint64, id blockid.ID) {

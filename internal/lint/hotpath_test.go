@@ -376,3 +376,36 @@ func TestHotPathCoversIndexedEngineMethods(t *testing.T) {
 		t.Errorf("finding should name byPid: %v", fs)
 	}
 }
+
+// An engine family that embeds a shared core owns the core's promoted
+// methods as roots, and the core helpers its own methods call are on its
+// hot path, so allocation inside the core is reported against the
+// embedding type.
+var enginePurityEmbeddedCore = fixture{name: "enginepurity-embedded-core", path: "dirsim/internal/coherence", src: `package coherence
+type Engine interface {
+	Access(c int, block uint64) int
+}
+type IndexedEngine interface {
+	Engine
+	AccessID(c int, block uint64, id int) int
+	AccessInstrs(n uint64)
+}
+type core struct{ refs []uint64 }
+func (k *core) AccessInstrs(n uint64) { k.refs = []uint64{n} }
+func (k *core) begin(c int) { k.refs = make([]uint64, c) }
+type Family struct{ core }
+func (e *Family) Access(c int, block uint64) int { return c }
+func (e *Family) AccessID(c int, block uint64, id int) int {
+	e.begin(c)
+	return id
+}
+`}
+
+func TestEnginePurityFollowsEmbeddedCore(t *testing.T) {
+	fs := lintFixture(t, enginePurityEmbeddedCore, EnginePurity)
+	wantFindings(t, fs, EnginePurity, 2)
+	if !strings.Contains(fs[0].Msg, "inside AccessInstrs, on Family's AccessInstrs hot path") ||
+		!strings.Contains(fs[1].Msg, "inside begin, on Family's AccessID hot path") {
+		t.Errorf("findings should name the embedding type's entry points: %v", fs)
+	}
+}
