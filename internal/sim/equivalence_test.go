@@ -127,6 +127,11 @@ var driverShapes = []struct {
 	{name: "all-engines-parallel4", together: true, parallel: 4},
 	{name: "per-engine-streaming", streaming: true},
 	{name: "per-engine-unbound", unbound: true},
+	// replay's shape: every engine in one Run over a streaming reader,
+	// fanned out to two workers.
+	{name: "all-engines-streaming-parallel2", together: true, parallel: 2, streaming: true},
+	// Three workers split 17 engines unevenly.
+	{name: "all-engines-parallel3", together: true, parallel: 3},
 }
 
 // computeEquivalenceDigests runs every registered engine over every

@@ -176,3 +176,55 @@ func TestSampleZeroEmitsNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestTrackEventsIdenticalAcrossWorkers checks that every engine's
+// sampled events land on that engine's own track however the engines are
+// split across workers: at sample=1, the events on each engine track,
+// keyed by track name, are identical at every worker count.
+func TestTrackEventsIdenticalAcrossWorkers(t *testing.T) {
+	tr, err := tracegen.Generate(tracegen.POPS(2_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	schemes := coherence.EngineNames()
+	cfg := coherence.Config{Caches: 4}
+	byTrack := func(parallel int) map[string][]flight.Event {
+		rec := flight.New(flight.Options{Sample: 1, Spans: true})
+		if _, err := RunSchemes(context.Background(), trace.NewSliceReader(tr), schemes, cfg,
+			Options{Parallel: parallel, Recorder: rec}); err != nil {
+			t.Fatalf("parallel=%d: %v", parallel, err)
+		}
+		evs := rec.Events()
+		if len(evs) >= 1<<16 {
+			// One ring holds every engine at parallel=1; a full ring
+			// drops events and the comparison would be meaningless.
+			t.Fatalf("parallel=%d: %d events may have overflowed a ring", parallel, len(evs))
+		}
+		out := map[string][]flight.Event{}
+		for _, e := range evs {
+			name := rec.TrackName(e.Track)
+			if name == "driver" {
+				continue
+			}
+			e.Track = 0
+			out[name] = append(out[name], e)
+		}
+		return out
+	}
+	want := byTrack(1)
+	if len(want) != len(schemes) {
+		t.Fatalf("parallel=1: events on %d engine tracks, want %d", len(want), len(schemes))
+	}
+	for _, parallel := range []int{2, 3, len(schemes)} {
+		got := byTrack(parallel)
+		if len(got) != len(want) {
+			t.Errorf("parallel=%d: events on %d engine tracks, want %d", parallel, len(got), len(want))
+		}
+		for name, w := range want {
+			if !reflect.DeepEqual(got[name], w) {
+				t.Errorf("parallel=%d: track %s has %d events differing from parallel=1's %d",
+					parallel, name, len(got[name]), len(w))
+			}
+		}
+	}
+}

@@ -220,3 +220,49 @@ func TestParallelAllocsIndependentOfTraceLength(t *testing.T) {
 		t.Errorf("Parallel=2 allocations grow with trace length: %.0f for 10 batches, %.0f for 40", short, long)
 	}
 }
+
+// Bound and unbound engines can share a run and a worker: with every
+// other engine driven through Access, each engine's Stats match an
+// all-bound run, inline and fanned out, across a warm-up reset that falls
+// inside a batch.
+func TestMixedBoundUnboundMatchesBound(t *testing.T) {
+	tr, err := tracegen.Generate(tracegen.POPS(20_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	schemes := coherence.EngineNames()
+	cfg := coherence.Config{Caches: 4}
+	warmup := batchRefs + 13
+	want, err := RunSchemes(context.Background(), trace.NewSliceReader(tr), schemes, cfg,
+		Options{WarmupRefs: warmup})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, parallel := range []int{1, 2, 3} {
+		engines := make([]coherence.Engine, len(schemes))
+		for i, name := range schemes {
+			e, err := coherence.NewByName(name, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i%2 == 1 {
+				e = unboundEngine{e}
+			}
+			engines[i] = e
+		}
+		got, err := Run(context.Background(), trace.NewSliceReader(tr), engines,
+			Options{WarmupRefs: warmup, Parallel: parallel})
+		if err != nil {
+			t.Fatalf("parallel=%d: %v", parallel, err)
+		}
+		for i := range want {
+			if got[i].Scheme != want[i].Scheme {
+				t.Fatalf("parallel=%d: scheme order %s vs %s", parallel, got[i].Scheme, want[i].Scheme)
+			}
+			if !reflect.DeepEqual(got[i].Stats, want[i].Stats) {
+				t.Errorf("parallel=%d: %s (bound=%v) stats differ from the all-bound run",
+					parallel, got[i].Scheme, i%2 == 0)
+			}
+		}
+	}
+}
