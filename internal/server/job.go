@@ -92,7 +92,7 @@ type job struct {
 	// admission to terminal, queueSpan admission to first dispatch, and
 	// spanCtx parents every child span the executors start. All are set
 	// once at admission and touched only by the single executor running
-	// the job (finishJob finishes them exactly once behind j.finish).
+	// the job (finishJob finishes them exactly once behind j.claim).
 	traceID   string
 	span      otrace.Active
 	queueSpan otrace.Active
@@ -101,6 +101,7 @@ type job struct {
 	mu       sync.Mutex
 	status   string
 	everRan  bool   // has left queued at least once (admit-wait observed)
+	claimed  bool   // a finishJob call owns the terminal transition
 	result   []byte // completed document; non-nil iff status == done
 	errMsg   string
 	events   []Event
@@ -213,15 +214,24 @@ func (j *job) setQueued() {
 	j.appendEvent(Event{Type: "status", Status: statusQueued})
 }
 
-// finish records a terminal state exactly once and releases waiters; the
-// return reports whether this call performed the transition (false: the
-// job was already terminal and nothing changed).
-func (j *job) finish(status string, result []byte, errMsg string) bool {
+// claim reserves the job's terminal transition: exactly one call returns
+// true, and nothing is visible to waiters until that caller publishes.
+// The gap lets the winner fold metrics and close spans before any
+// waiter is released.
+func (j *job) claim() bool {
 	j.mu.Lock()
-	if j.terminalLocked() {
-		j.mu.Unlock()
+	defer j.mu.Unlock()
+	if j.claimed || j.terminalLocked() {
 		return false
 	}
+	j.claimed = true
+	return true
+}
+
+// publish records the terminal state reserved by claim and releases
+// waiters.
+func (j *job) publish(status string, result []byte, errMsg string) {
+	j.mu.Lock()
 	j.status = status
 	j.result = result
 	j.errMsg = errMsg
@@ -233,7 +243,6 @@ func (j *job) finish(status string, result []byte, errMsg string) bool {
 		j.appendEvent(Event{Type: "error", Error: errMsg})
 	}
 	close(j.done)
-	return true
 }
 
 // snapshot returns the current state for the status endpoint.

@@ -445,11 +445,13 @@ func (s *Server) traceJob(j *job, tc otrace.Context) {
 	j.queueSpan = s.cfg.Tracer.Start(j.spanCtx, "queue")
 }
 
-// finishJob records a job's terminal state exactly once: the event log,
-// the server-wide metrics fold, the journal resolve that releases the
-// durable obligation, and the tenant's quota slot.
+// finishJob records a job's terminal state exactly once: the job's
+// spans and the server-wide metrics fold, then the event log that
+// releases waiters, the journal resolve that releases the durable
+// obligation, and the tenant's quota slot. The fold precedes the release,
+// so a client reading /metrics after its reply sees the job.
 func (s *Server) finishJob(j *job, status string, result []byte, errMsg string) {
-	if !j.finish(status, result, errMsg) {
+	if !j.claim() {
 		return
 	}
 	j.queueSpan.Finish() // no-op unless the job died while queued
@@ -458,6 +460,7 @@ func (s *Server) finishJob(j *job, status string, result []byte, errMsg string) 
 	if j.metrics != nil {
 		s.metrics.Merge(j.metrics.Snapshot())
 	}
+	j.publish(status, result, errMsg)
 	// Best-effort: a failed resolve means the journal replays a finished
 	// job after a restart, which recovery detects via the result cache.
 	_ = s.store.resolve(j.id, status)

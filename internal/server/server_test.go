@@ -170,6 +170,27 @@ func TestCacheHitSkipsRunner(t *testing.T) {
 	}
 }
 
+// A ?wait=1 reply is released only after the job's metrics are folded
+// into the daemon's: a client reading the metrics right after each reply
+// sees every job it was answered for, and the references it simulated.
+func TestMetricsFoldedBeforeReply(t *testing.T) {
+	s, ts := testServer(t, Config{})
+	const cells = 8
+	for i := 1; i <= cells; i++ {
+		code, doc := postWait(t, ts, cellBody(t, 2_000, int64(100+i)))
+		if code != http.StatusOK {
+			t.Fatalf("cell %d: status %d body %s", i, code, doc)
+		}
+		snap := s.Metrics().Snapshot()
+		if snap.JobsDone != uint64(i) {
+			t.Fatalf("after reply %d: jobs done = %d, want %d", i, snap.JobsDone, i)
+		}
+		if snap.Refs == 0 {
+			t.Fatalf("after reply %d: no simulated references in the metrics", i)
+		}
+	}
+}
+
 // Results persist to the cache dir and survive a daemon restart: a new
 // server over the same dir serves the identical bytes without running.
 func TestDiskCacheSurvivesRestart(t *testing.T) {
