@@ -91,6 +91,9 @@ func TestRunCellHedgesToNextPeer(t *testing.T) {
 	// its request context dies, the sibling answers immediately.
 	var mode [2]atomic.Value
 	var canceled [2]atomic.Int64
+	// primaryIn closes once the owner holds the primary request; the
+	// owner gets exactly one request, so it is closed once.
+	primaryIn := make(chan time.Time)
 	var servers [2]*httptest.Server
 	for i := range servers {
 		i := i
@@ -99,6 +102,7 @@ func TestRunCellHedgesToNextPeer(t *testing.T) {
 				// Drain the body first: an HTTP/1.1 server only watches
 				// for client disconnect once the request is consumed.
 				io.Copy(io.Discard, r.Body)
+				close(primaryIn)
 				<-r.Context().Done()
 				canceled[i].Add(1)
 				return
@@ -113,15 +117,15 @@ func TestRunCellHedgesToNextPeer(t *testing.T) {
 	mode[order[0]].Store("slow")
 	mode[order[1]].Store("fast")
 
-	// A closed channel is a hedge timer that fires immediately — the
-	// deterministic stand-in for time.After.
-	fired := make(chan time.Time)
-	close(fired)
+	// The hedge timer fires once the owner holds the primary request —
+	// the deterministic stand-in for time.After. Firing any earlier
+	// could let the sibling win before the primary reaches the owner,
+	// leaving no in-flight request to cancel.
 	c := &Client{
 		Membership: m,
 		Router:     router,
 		HedgeDelay: time.Millisecond,
-		After:      func(time.Duration) <-chan time.Time { return fired },
+		After:      func(time.Duration) <-chan time.Time { return primaryIn },
 	}
 	doc, err := c.RunCell(context.Background(), cell)
 	if err != nil {
