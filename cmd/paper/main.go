@@ -30,6 +30,8 @@ import (
 
 	"dirsim/internal/atomicio"
 	"dirsim/internal/bus"
+	"dirsim/internal/cellexec"
+	"dirsim/internal/cluster"
 	"dirsim/internal/coherence"
 	"dirsim/internal/directory"
 	"dirsim/internal/flight"
@@ -268,18 +270,33 @@ func run(ctx context.Context, w io.Writer, o options) error {
 		defer fmt.Fprintln(o.progressW)
 	}
 
-	// Every cell-shaped section executes through this seam: locally on
-	// the runner pool, or on a dirsimd daemon with -remote.
-	var sink *traceSink
+	// Every cell-shaped section executes through one seam: locally on
+	// the runner pool, or with -remote on a dirsimd daemon as a one-peer
+	// fleet, -parallel cells in flight. The daemon deduplicates cells by
+	// content hash, so re-rendering a report is nearly free. Trace-
+	// analysis and queueing-model sections have no simulation to ship.
+	var traces *cellexec.Traces
 	if o.traceOut != "" {
 		if o.remote != "" {
 			return fmt.Errorf("-remote cannot be combined with -trace-out: run the daemon with -trace-sample and fetch /v1/jobs/{id}/trace instead")
 		}
-		sink = &traceSink{sample: o.traceSample, spans: o.spans}
+		traces = &cellexec.Traces{Sample: o.traceSample, Spans: o.spans}
 	}
-	exec := localExec(ropts, sink)
+	executor := cellexec.Local(ropts, traces, nil)
 	if o.remote != "" {
-		exec = remoteExec(o.remote, o.parallel)
+		mem := cluster.Membership{Peers: []cluster.Peer{{Addr: o.remote}}}
+		health := cluster.NewHealth()
+		executor = cellexec.Fleet(&cluster.Client{
+			Membership: mem,
+			Router:     cluster.NewRouter(mem, health),
+			Health:     health,
+			APIKey:     os.Getenv("DIRSIM_API_KEY"),
+			Retry:      ropts.Retry,
+			Sleep:      o.sleep,
+		}, o.parallel)
+	}
+	exec := func(ctx context.Context, cells []spec.Cell) ([][]sim.Result, error) {
+		return cellexec.Collect(ctx, executor, cells)
 	}
 
 	fmt.Fprintf(w, "Reproduction of: An Evaluation of Directory Schemes for Cache Coherence\n")
@@ -819,8 +836,8 @@ func run(ctx context.Context, w io.Writer, o options) error {
 			return err
 		}
 	}
-	if sink != nil {
-		if err := writeTrace(o.traceOut, sink.recorders()); err != nil {
+	if traces != nil {
+		if err := flight.WriteFile(o.traceOut, traces.Recorders()...); err != nil {
 			return err
 		}
 	}
@@ -828,4 +845,21 @@ func run(ctx context.Context, w io.Writer, o options) error {
 		return fmt.Errorf("%w: %d of %d sections failed", errDegraded, s.man.Failed, s.n)
 	}
 	return nil
+}
+
+// presetCells builds one cell per workload preset: the same scheme set in
+// lockstep over each (optionally filtered) trace.
+func presetCells(presets []tracegen.Config, filter string, schemes []string,
+	cfg coherence.Config, s spec.Sim) []spec.Cell {
+	cells := make([]spec.Cell, len(presets))
+	for i, p := range presets {
+		cells[i] = spec.Cell{
+			Trace:   p,
+			Filter:  filter,
+			Schemes: append([]string(nil), schemes...),
+			Machine: cfg,
+			Sim:     s,
+		}
+	}
+	return cells
 }

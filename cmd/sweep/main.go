@@ -3,9 +3,11 @@
 // mean and 95% confidence interval of bus cycles per reference — the raw
 // material for scaling plots.
 //
-// The grid is flattened into one job per (cell, seed) and executed on the
-// shared runner pool; rows stream out as their cell's replications
-// complete, in grid order, whatever the worker count.
+// The grid is flattened into one job per (cell, seed) and executed
+// through one cell executor (internal/cellexec) — the shared runner pool
+// by default — whose per-job results all take the same path: rows stream
+// out as their cell's replications complete, in grid order, whatever the
+// worker count or completion order.
 //
 // The run is resilient: a failed or panicking cell never aborts the
 // sweep. Surviving cells stream to the (crash-safely written) CSV, every
@@ -26,8 +28,9 @@
 //	sweep ... -cluster peers.json -trace fleet.json > sweep.csv
 //
 // With -remote the grid is submitted to a dirsimd daemon as one sweep
-// spec and rows are rebuilt from the returned result document — byte
-// identical to a local run of the same grid. Fault-injection and
+// spec — one request, which the daemon runs several cells wide — and rows
+// are rebuilt from the returned result document, byte identical to a
+// local run of the same grid. Fault-injection and
 // checkpoint flags are local-execution concerns and refuse to combine
 // with -remote.
 //
@@ -63,6 +66,7 @@ import (
 
 	"dirsim/internal/atomicio"
 	"dirsim/internal/bus"
+	"dirsim/internal/cellexec"
 	"dirsim/internal/cluster"
 	"dirsim/internal/faults"
 	"dirsim/internal/flight"
@@ -84,7 +88,7 @@ func main() {
 	cpus := flag.String("cpus", "4", "comma-separated processor counts")
 	refs := flag.Int("refs", 300_000, "references per trace")
 	seeds := flag.Int("seeds", 3, "replications per cell")
-	parallel := flag.Int("parallel", 1, "concurrent simulation jobs (1 = sequential)")
+	parallel := flag.Int("parallel", 1, "concurrent simulation jobs (1 = sequential); with -cluster, cells in flight per daemon")
 	timeout := flag.Duration("timeout", 0, "abort the sweep after this long (0 = no limit)")
 	jobTimeout := flag.Duration("job-timeout", 0, "per-job deadline (0 = no limit)")
 	stallTimeout := flag.Duration("stall-timeout", 0, "fail a job when no progress for this long (0 = off)")
@@ -98,7 +102,7 @@ func main() {
 	clusterFile := flag.String("cluster", "", "run the grid on the dirsimd fleet this membership file describes (cells routed to their rendezvous owners)")
 	hedge := flag.Duration("hedge", 2*time.Second, "with -cluster, try the next peer concurrently when the owner has not answered after this long (0 = off)")
 	fleetTrace := flag.String("trace", "", "with -cluster, write one merged fleet trace of the sweep here (.json = Chrome trace, .ndjson = span rows): client spans plus every daemon's spans for each cell")
-	apiKey := flag.String("api-key", os.Getenv("DIRSIM_API_KEY"), "API key for -remote daemons running with tenants configured (default $DIRSIM_API_KEY)")
+	apiKey := flag.String("api-key", os.Getenv("DIRSIM_API_KEY"), "API key for -remote and -cluster daemons running with tenants configured (default $DIRSIM_API_KEY)")
 	progress := flag.Bool("progress", false, "report job and throughput counts on stderr")
 	pprofFile := flag.String("pprof", "", "write a CPU profile to this file")
 	traceOut := flag.String("trace-out", "", "write a flight trace of every job here (.json = Chrome trace, .ndjson = one event per line)")
@@ -304,8 +308,7 @@ func run(ctx context.Context, w io.Writer, o options) error {
 	for _, wl := range strings.Split(o.workloads, ",") {
 		workloadList = append(workloadList, strings.TrimSpace(wl))
 	}
-	pip := bus.Pipelined()
-	metric := study.CyclesPerRef(pip)
+	metric := study.CyclesPerRef(bus.Pipelined())
 
 	// Resolve canonical scheme names up front: rows rebuilt from a
 	// checkpoint must print exactly the names a live run would, and a
@@ -318,7 +321,7 @@ func run(ctx context.Context, w io.Writer, o options) error {
 	// Flatten the grid through the shared spec types: cells are ordered
 	// (workload, cpus, seed), so cell index i belongs to output cell
 	// i/seeds and seed i%seeds — the exact grid a daemon would expand
-	// from the same parameters.
+	// from the same parameters. Cells() validates every cell.
 	sw := spec.Sweep{
 		Workloads: workloadList, Schemes: schemeList, CPUs: cpuList,
 		Refs: o.refs, Seeds: o.seeds,
@@ -333,14 +336,6 @@ func run(ctx context.Context, w io.Writer, o options) error {
 			workload: specCells[i].Trace.Name,
 			cpus:     specCells[i].Trace.CPUs,
 		})
-	}
-	allJobs := make([]runner.Job, len(specCells))
-	for i, c := range specCells {
-		j, err := c.Job()
-		if err != nil {
-			return err
-		}
-		allJobs[i] = j
 	}
 
 	if o.remote != "" && o.cluster != "" {
@@ -365,11 +360,11 @@ func run(ctx context.Context, w io.Writer, o options) error {
 		return fmt.Errorf("-trace requires -cluster: a single daemon's trace is served by GET /v1/jobs/{id}/trace")
 	}
 
-	// values[i] holds job i's per-scheme metric values — prefilled from
-	// the checkpoint on -resume, filled by OnResult otherwise. failed[i]
-	// marks jobs whose final attempt errored.
-	values := make([][]float64, len(allJobs))
-	failed := make([]bool, len(allJobs))
+	// values[i] holds cell i's per-scheme metric values — prefilled from
+	// the checkpoint on -resume, filled as cells finish otherwise.
+	// failed[i] marks cells whose final attempt errored.
+	values := make([][]float64, len(specCells))
+	failed := make([]bool, len(specCells))
 	ck := checkpointFile{
 		Workloads: o.workloads, Schemes: o.schemes, Cpus: o.cpus,
 		Refs: o.refs, Seeds: o.seeds, Jobs: map[string][]float64{},
@@ -392,7 +387,7 @@ func run(ctx context.Context, w io.Writer, o options) error {
 		}
 		for k, vals := range old.Jobs {
 			i, err := strconv.Atoi(k)
-			if err != nil || i < 0 || i >= len(allJobs) || len(vals) != len(schemeList) {
+			if err != nil || i < 0 || i >= len(specCells) || len(vals) != len(schemeList) {
 				return fmt.Errorf("-resume: corrupt checkpoint entry %q in %s", k, o.checkpoint)
 			}
 			values[i] = vals
@@ -400,54 +395,15 @@ func run(ctx context.Context, w io.Writer, o options) error {
 		}
 	}
 
-	// Fault injection: trace faults scope to -fault-jobs (default all),
-	// panics to -fault-panic, both keyed by global job index so a resumed
-	// run with no fault flags replays the same cells cleanly.
-	faultSet, err := parseIndexSet(o.faultJobs)
-	if err != nil {
-		return fmt.Errorf("-fault-jobs: %w", err)
-	}
-	panicSet, err := parseIndexSet(o.faultPanic)
-	if err != nil {
-		return fmt.Errorf("-fault-panic: %w", err)
-	}
-	injectTrace := o.faultCorrupt > 0 || o.faultTruncate > 0
-	wrapSource := func(gi int, src func() (trace.Reader, error)) func() (trace.Reader, error) {
-		cfg := faults.Config{Seed: o.faultSeed + int64(gi)}
-		active := false
-		if injectTrace && (faultSet == nil || faultSet[gi]) {
-			cfg.CorruptProb = o.faultCorrupt
-			cfg.TruncateAfter = o.faultTruncate
-			active = true
-		}
-		if panicSet[gi] {
-			cfg.PanicAfter = o.refs/2 + 1
-			active = true
-		}
-		if !active {
-			return src
-		}
-		return func() (trace.Reader, error) {
-			rd, err := src()
-			if err != nil {
-				return nil, err
-			}
-			return faults.Wrap(rd, cfg), nil
-		}
-	}
-
-	// Submit only jobs without checkpointed values; submitIdx maps pool
-	// index back to global grid index.
-	var submit []runner.Job
+	// Submit only cells without checkpointed values; submitIdx maps a
+	// submitted cell's index back to its global grid index.
+	var submit []spec.Cell
 	var submitIdx []int
-	for gi := range allJobs {
-		if values[gi] != nil {
-			continue
+	for gi, c := range specCells {
+		if values[gi] == nil {
+			submit = append(submit, c)
+			submitIdx = append(submitIdx, gi)
 		}
-		j := allJobs[gi]
-		j.Source = wrapSource(gi, j.Source)
-		submit = append(submit, j)
-		submitIdx = append(submitIdx, gi)
 	}
 
 	cw := csv.NewWriter(w)
@@ -458,11 +414,10 @@ func run(ctx context.Context, w io.Writer, o options) error {
 		return err
 	}
 
-	// Rows stream in grid order: OnResult/OnError arrive in submit order
-	// (which preserves grid order), so cells resolve front to back. A
-	// cell flushes the moment its last seed lands; a cell with any failed
-	// seed emits no rows and is skipped — its failure is in the manifest
-	// and a -resume replays it.
+	// Rows stream in grid order whatever order cells finish in: a cell
+	// flushes the moment its last seed lands and every earlier cell has
+	// resolved; a cell with any failed seed emits no rows and is skipped —
+	// its failure is in the manifest and a -resume replays it.
 	var rowErr error
 	nextCell := 0
 	emit := func() {
@@ -525,58 +480,35 @@ func run(ctx context.Context, w io.Writer, o options) error {
 		}
 	}
 
-	// Remote mode: ship the whole grid to the daemon as one sweep spec,
-	// rebuild priceable results from the document, and stream the same
-	// rows the local path would — byte for byte.
-	if o.remote != "" {
-		// Daemon saturation (429 quota/queue-full, 503 restart) is
-		// absorbed on the same deterministic retry schedule the local
-		// runner uses, honouring the daemon's Retry-After.
+	// Pick what runs the cells; everything below is one result path.
+	// Daemon saturation (429 quota/queue-full, 503 restart) is absorbed
+	// on the same deterministic retry schedule the local runner uses,
+	// honouring the daemon's Retry-After.
+	var exec cellexec.Executor
+	var mem cluster.Membership
+	var traces *cellexec.Traces
+	switch {
+	case o.remote != "":
+		// The whole grid goes to the daemon as one sweep spec, which it
+		// runs several cells wide; -remote rejects -resume, so the
+		// submitted cells are the grid.
 		client := &remote.Client{
 			BaseURL: o.remote,
 			APIKey:  o.apiKey,
 			Retry:   runner.RetryPolicy{Max: o.retries + 1, Base: o.retryBase, Seed: 1},
 			Sleep:   o.sleep,
 		}
-		results, err := client.RunCells(ctx, spec.Request{Sweep: &sw})
-		if err != nil {
+		exec = func(ctx context.Context, _ []spec.Cell, onDone func(int, []sim.Result, error)) error {
+			results, err := client.RunCells(ctx, spec.Request{Sweep: &sw})
+			for i, rs := range results {
+				onDone(i, rs, nil)
+			}
 			return err
 		}
-		for gi, rs := range results {
-			vals := make([]float64, len(rs))
-			for k, r := range rs {
-				vals[k] = metric(r)
-			}
-			values[gi] = vals
-		}
-		emit()
-		if rowErr != nil {
-			return rowErr
-		}
-		cw.Flush()
-		if err := cw.Error(); err != nil {
-			return err
-		}
-		if o.manifest != "" {
-			// A remote run either succeeds whole or fails the command:
-			// the manifest records a clean slate for tooling that expects
-			// one.
-			if err := runner.NewManifest("sweep", len(allJobs)).Write(o.manifest); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	// Cluster mode: partition the grid across the fleet by cell
-	// ownership. Each cell goes to its rendezvous-hash owner (hedged and
-	// failed over per the cluster client), results convert through the
-	// same remote.Results path, and emit() streams rows in grid order
-	// regardless of completion order — so the CSV is byte-identical to a
-	// single-node or local run.
-	if o.cluster != "" {
-		mem, err := cluster.LoadMembership(o.cluster)
-		if err != nil {
+	case o.cluster != "":
+		// Each cell goes to its rendezvous-hash owner, hedged and failed
+		// over per the cluster client.
+		if mem, err = cluster.LoadMembership(o.cluster); err != nil {
 			return err
 		}
 		health := cluster.NewHealth()
@@ -601,64 +533,70 @@ func run(ctx context.Context, w io.Writer, o options) error {
 			Metrics:    clusterMetrics,
 		}
 		// -parallel is per-daemon concurrency; the fleet multiplies it.
-		workers := o.parallel * len(mem.Peers)
-		var convErr error
-		runErr := cc.RunCells(ctx, specCells, workers, func(gi int, doc *spec.ResultDoc, err error) {
-			// onDone is serialized by the cluster client. Failures are
-			// reported by RunCells's return; conversion errors are ours.
-			if err != nil || convErr != nil {
-				return
-			}
-			rs, err := remote.Results(doc, specCells[gi:gi+1])
-			if err != nil {
-				convErr = fmt.Errorf("cell %d (%s): %w", gi, specCells[gi].Label(), err)
-				return
-			}
-			vals := make([]float64, len(rs[0]))
-			for k, r := range rs[0] {
-				vals[k] = metric(r)
-			}
-			values[gi] = vals
-			emit()
-		})
-		switch {
-		case runErr != nil:
-			return runErr
-		case convErr != nil:
-			return convErr
-		case rowErr != nil:
-			return rowErr
+		exec = cellexec.Fleet(cc, o.parallel*len(mem.Peers))
+	default:
+		ropts := runner.Options{
+			Workers:      o.parallel,
+			JobTimeout:   o.jobTimeout,
+			StallTimeout: o.stallTimeout,
+			Retry:        runner.RetryPolicy{Max: o.retries + 1, Base: o.retryBase, Seed: o.faultSeed},
+			Sleep:        o.sleep,
 		}
-		cw.Flush()
-		if err := cw.Error(); err != nil {
+		// Trace pids are global grid indices, which group each job's
+		// tracks in the export the same way on a -resume run.
+		if o.traceOut != "" {
+			traces = &cellexec.Traces{
+				Sample: o.traceSample, Spans: o.spans,
+				Pid: func(si int) int { return submitIdx[si] },
+			}
+		}
+		if o.faultTransient > 0 {
+			n := o.faultTransient
+			ropts.TransientFault = func(si, attempt int) error {
+				if attempt <= n {
+					return runner.Transient(fmt.Errorf("injected transient fault (attempt %d)", attempt))
+				}
+				return nil
+			}
+		}
+		if o.progress {
+			pw := o.progressW
+			if pw == nil {
+				pw = os.Stderr
+			}
+			m := obs.NewMetrics()
+			start := time.Now()
+			th := obs.NewThrottle(200*time.Millisecond, func() int64 { return time.Now().UnixNano() })
+			ropts.Metrics = m
+			ropts.Progress = func() {
+				if th.Ready() {
+					s := m.Snapshot()
+					fmt.Fprintf(pw, "\rjobs %d/%d  %d refs (%.0f refs/s)  retries %d  failures %d ",
+						s.JobsDone, s.JobsTotal, s.Refs, s.RefsPerSec(time.Since(start)),
+						s.Retries, s.Failures)
+				}
+			}
+			defer fmt.Fprintln(pw)
+		}
+		wrap, err := faultWrapper(o, submitIdx)
+		if err != nil {
 			return err
 		}
-		if o.manifest != "" {
-			// Like -remote: a clustered run succeeds whole or fails the
-			// command, so the manifest records a clean slate.
-			if err := runner.NewManifest("sweep", len(allJobs)).Write(o.manifest); err != nil {
-				return err
-			}
-		}
-		if o.fleetStore != nil {
-			collectFleetSpans(ctx, mem, specCells, o.fleetStore)
-		}
-		return nil
+		exec = cellexec.Local(ropts, traces, wrap)
 	}
 
-	man := runner.NewManifest("sweep", len(allJobs))
-	ropts := runner.Options{
-		Workers:      o.parallel,
-		JobTimeout:   o.jobTimeout,
-		StallTimeout: o.stallTimeout,
-		Retry: runner.RetryPolicy{
-			Max:  o.retries + 1,
-			Base: o.retryBase,
-			Seed: o.faultSeed,
-		},
-		Sleep: o.sleep,
-		OnResult: func(si int, rs []sim.Result) {
-			gi := submitIdx[si]
+	man := runner.NewManifest("sweep", len(specCells))
+	// Cells fully satisfied by the checkpoint flush before any job runs.
+	emit()
+	if rowErr != nil {
+		return rowErr
+	}
+	err = exec(ctx, submit, func(si int, rs []sim.Result, err error) {
+		gi := submitIdx[si]
+		if err != nil {
+			failed[gi] = true
+			man.Record(gi, specCells[gi].Label(), err)
+		} else {
 			vals := make([]float64, len(rs))
 			for k, r := range rs {
 				vals[k] = metric(r)
@@ -666,74 +604,19 @@ func run(ctx context.Context, w io.Writer, o options) error {
 			values[gi] = vals
 			ck.Jobs[strconv.Itoa(gi)] = vals
 			saveCheckpoint()
-			emit()
-		},
-		OnError: func(si int, err error) {
-			gi := submitIdx[si]
-			failed[gi] = true
-			man.Record(gi, allJobs[gi].Label, err)
-			emit()
-		},
-	}
-	// One recorder per pool job, created fresh per attempt so a retried
-	// job's trace is always the attempt that produced its results. Pid is
-	// the global grid index, which groups each job's tracks in the export.
-	var recorders []*flight.Recorder
-	if o.traceOut != "" {
-		recorders = make([]*flight.Recorder, len(submit))
-		ropts.TraceFor = func(index, attempt int) *flight.Recorder {
-			gi := submitIdx[index]
-			rec := flight.New(flight.Options{
-				Sample: o.traceSample, Spans: o.spans,
-				Pid: gi, Label: allJobs[gi].Label,
-			})
-			recorders[index] = rec
-			return rec
 		}
-	}
-	if o.faultTransient > 0 {
-		n := o.faultTransient
-		ropts.TransientFault = func(si, attempt int) error {
-			if attempt <= n {
-				return runner.Transient(fmt.Errorf("injected transient fault (attempt %d)", attempt))
-			}
-			return nil
-		}
-	}
-	if o.progress {
-		pw := o.progressW
-		if pw == nil {
-			pw = os.Stderr
-		}
-		m := obs.NewMetrics()
-		start := time.Now()
-		th := obs.NewThrottle(200*time.Millisecond, func() int64 { return time.Now().UnixNano() })
-		ropts.Metrics = m
-		ropts.Progress = func() {
-			if th.Ready() {
-				s := m.Snapshot()
-				fmt.Fprintf(pw, "\rjobs %d/%d  %d refs (%.0f refs/s)  retries %d  failures %d ",
-					s.JobsDone, s.JobsTotal, s.Refs, s.RefsPerSec(time.Since(start)),
-					s.Retries, s.Failures)
-			}
-		}
-		defer fmt.Fprintln(pw)
-	}
-
-	// Cells fully satisfied by the checkpoint flush before any job runs.
-	emit()
-	if rowErr != nil {
-		return rowErr
-	}
-	if _, err := runner.Run(ctx, submit, ropts); err != nil {
+		emit()
+	})
+	if err != nil {
 		if ctx.Err() != nil {
 			return context.Cause(ctx)
 		}
+		// Per-job failures of a local run are in the manifest; the
+		// degraded path below reports them. Anything else — a daemon or
+		// fleet failure included — fails the command.
 		if !jobFailuresOnly(err) {
 			return err
 		}
-		// Per-job failures were already delivered through OnError and
-		// recorded in the manifest; the degraded path below reports them.
 	}
 	if rowErr != nil {
 		return rowErr
@@ -747,16 +630,65 @@ func run(ctx context.Context, w io.Writer, o options) error {
 			return err
 		}
 	}
-	if o.traceOut != "" {
-		if err := writeTrace(o.traceOut, recorders); err != nil {
+	if traces != nil {
+		if err := flight.WriteFile(o.traceOut, traces.Recorders()...); err != nil {
 			return err
 		}
 	}
+	if o.fleetStore != nil {
+		collectFleetSpans(ctx, mem, specCells, o.fleetStore)
+	}
 	if man.Failed > 0 {
 		return fmt.Errorf("%w: %d of %d jobs failed; partial results written, rerun with -resume to fill the gaps",
-			errDegraded, man.Failed, len(allJobs))
+			errDegraded, man.Failed, len(specCells))
 	}
 	return nil
+}
+
+// faultWrapper returns the local executor's job rewrite for the -fault-*
+// trace faults, or nil when none apply. Trace faults scope to -fault-jobs
+// (default all), panics to -fault-panic, both keyed by global grid index
+// (submitIdx maps a submitted cell back to it) so a resumed run with no
+// fault flags replays the same cells cleanly.
+func faultWrapper(o options, submitIdx []int) (func(int, runner.Job) runner.Job, error) {
+	faultSet, err := parseIndexSet(o.faultJobs)
+	if err != nil {
+		return nil, fmt.Errorf("-fault-jobs: %w", err)
+	}
+	panicSet, err := parseIndexSet(o.faultPanic)
+	if err != nil {
+		return nil, fmt.Errorf("-fault-panic: %w", err)
+	}
+	injectTrace := o.faultCorrupt > 0 || o.faultTruncate > 0
+	if !injectTrace && len(panicSet) == 0 {
+		return nil, nil
+	}
+	return func(si int, j runner.Job) runner.Job {
+		gi := submitIdx[si]
+		cfg := faults.Config{Seed: o.faultSeed + int64(gi)}
+		active := false
+		if injectTrace && (faultSet == nil || faultSet[gi]) {
+			cfg.CorruptProb = o.faultCorrupt
+			cfg.TruncateAfter = o.faultTruncate
+			active = true
+		}
+		if panicSet[gi] {
+			cfg.PanicAfter = o.refs/2 + 1
+			active = true
+		}
+		if !active {
+			return j
+		}
+		src := j.Source
+		j.Source = func() (trace.Reader, error) {
+			rd, err := src()
+			if err != nil {
+				return nil, err
+			}
+			return faults.Wrap(rd, cfg), nil
+		}
+		return j
+	}, nil
 }
 
 // collectFleetSpans asks every fleet member for its spans of every
@@ -850,20 +782,6 @@ func pruneOrphans(spans []otrace.Span) []otrace.Span {
 		}
 		spans = keep
 	}
-}
-
-// writeTrace exports every job's recorder (nils from never-started jobs
-// elided by the writer) crash-safely; the extension picks the format.
-func writeTrace(path string, recs []*flight.Recorder) error {
-	f, err := atomicio.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := flight.Write(f, path, recs...); err != nil {
-		f.Abort()
-		return err
-	}
-	return f.Commit()
 }
 
 // jobFailuresOnly reports whether err (possibly an errors.Join tree)
