@@ -41,10 +41,12 @@ lint-sarif:
 	code=$$?; rm -rf lint-sarif.tmp; test $$code -eq 0 || test $$code -eq 1
 
 # Explicit-state model check of every engine over the 2-cache universe,
-# then the 2-block universe where cross-block state can interact.
+# then the 2-block universe where cross-block state can interact, then 3
+# caches, where the limited-pointer schemes overflow their pointers.
 mc:
 	$(GO) run ./cmd/dirsimlint -mc
 	$(GO) run ./cmd/dirsimlint -mc -blocks 2
+	$(GO) run ./cmd/dirsimlint -mc -caches 3 -blocks 2
 
 check: fmt build lint test perfbench-test race mc
 

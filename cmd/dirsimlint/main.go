@@ -20,7 +20,7 @@
 // -rules, only pragmas for the selected rules are judged.
 //
 // Exit codes: 0 when clean, 1 when findings or invariant violations are
-// reported, 2 when the module cannot be loaded (or the flags are
+// reported or a -mc exploration was truncated, 2 when the module cannot be loaded (or the flags are
 // unusable). CI distinguishes "code has findings" from "the linter
 // itself broke".
 package main
@@ -74,6 +74,10 @@ type options struct {
 	dir            string
 	patterns       []string
 	format         string
+
+	// maxNodes overrides the model checker's node cap; tests lower it to
+	// provoke truncation cheaply. Zero keeps mc's default.
+	maxNodes int
 }
 
 // run executes one invocation and returns the process exit code.
@@ -223,16 +227,19 @@ func selectRules(names string) ([]lint.Rule, error) {
 }
 
 // runMC explores every requested engine's reachable state graph and
-// prints one summary line per engine, plus any violations found.
+// prints one summary line per engine, plus any violations found. An
+// exploration cut short by the node cap is reported as incomplete, not as
+// a violation, but it still fails the run: unexplored states are unchecked.
 func runMC(w io.Writer, opts options) (int, error) {
 	names := coherence.EngineNames()
 	if opts.schemes != "" {
 		names = strings.Split(opts.schemes, ",")
 	}
-	clean := true
+	violated := false
+	var truncated []string
 	for _, name := range names {
 		name = strings.TrimSpace(name)
-		res, err := mc.ExploreScheme(name, mc.Options{Caches: opts.caches, Blocks: opts.blocks})
+		res, err := mc.ExploreScheme(name, mc.Options{Caches: opts.caches, Blocks: opts.blocks, MaxNodes: opts.maxNodes})
 		if err != nil {
 			return exitError, err
 		}
@@ -240,7 +247,7 @@ func runMC(w io.Writer, opts options) (int, error) {
 			res.Engine, res.Nodes, res.Edges, res.Transitions, res.Depth)
 		if res.Truncated {
 			fmt.Fprint(w, " (truncated)")
-			clean = false
+			truncated = append(truncated, res.Engine)
 		}
 		if len(res.Unreachable) > 0 {
 			fmt.Fprintf(w, "; unreachable: %s", strings.Join(res.Unreachable, " "))
@@ -248,11 +255,17 @@ func runMC(w io.Writer, opts options) (int, error) {
 		fmt.Fprintln(w)
 		for _, v := range res.Violations {
 			fmt.Fprintf(w, "  VIOLATION %v\n", v)
-			clean = false
+			violated = true
 		}
 	}
-	if !clean {
+	if violated {
 		fmt.Fprintln(w, "model checking found violations")
+	}
+	if len(truncated) > 0 {
+		fmt.Fprintf(w, "exploration truncated at the node cap, so the check is incomplete for: %s\n",
+			strings.Join(truncated, ", "))
+	}
+	if violated || len(truncated) > 0 {
 		return exitFindings, nil
 	}
 	return exitClean, nil

@@ -196,6 +196,26 @@ func TestRunMC(t *testing.T) {
 	}
 }
 
+// TestRunMCTruncation pins how a truncated exploration is reported: as an
+// incomplete check that fails the run, never as a violation.
+func TestRunMCTruncation(t *testing.T) {
+	var sb strings.Builder
+	code := run(&sb, &sb, options{mcMode: true, schemes: "competitive4,dir1nb", caches: 2, blocks: 1, maxNodes: 8})
+	if code != exitFindings {
+		t.Fatalf("truncated exploration exit %d, want %d:\n%s", code, exitFindings, sb.String())
+	}
+	out := sb.String()
+	if !strings.Contains(out, "Competitive4") || !strings.Contains(out, "(truncated)") {
+		t.Errorf("no truncated summary line:\n%s", out)
+	}
+	if !strings.Contains(out, "exploration truncated at the node cap, so the check is incomplete for: Competitive4\n") {
+		t.Errorf("no truncation report naming only Competitive4:\n%s", out)
+	}
+	if strings.Contains(out, "violation") || strings.Contains(out, "VIOLATION") {
+		t.Errorf("truncation reported as a violation:\n%s", out)
+	}
+}
+
 func TestSelectRules(t *testing.T) {
 	rs, err := selectRules("floateq, registry")
 	if err != nil {

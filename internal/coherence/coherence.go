@@ -4,9 +4,9 @@
 // Section 6 coded-set variant), and the snoopy protocols used for
 // comparison — Write-Through-With-Invalidate and Dragon — plus the
 // Berkeley Ownership cost model derived in Section 5. Beyond the paper it
-// adds the snoopy protocols MESI, MOESI, Write-Once, Firefly, a
-// competitive-update variant of Dragon (Competitive) and Rudolph–Segall
-// read broadcast (ReadBroadcast).
+// adds the snoopy protocols MESI, MOESI, Write-Once, Firefly, competitive
+// update (Dragon with a self-invalidation threshold, NewCompetitive) and
+// Rudolph–Segall read broadcast (ReadBroadcast).
 //
 // An engine consumes one classified memory reference at a time and
 // maintains two things:
@@ -25,9 +25,7 @@ package coherence
 
 import (
 	"fmt"
-	"strings"
 
-	"dirsim/internal/bitset"
 	"dirsim/internal/blockid"
 	"dirsim/internal/bus"
 	"dirsim/internal/cache"
@@ -307,58 +305,4 @@ func (c Config) newReplacers() ([]cache.Replacer, error) {
 		out[i] = r
 	}
 	return out, nil
-}
-
-// blockStates is the ground truth for every block under an invalidation
-// protocol, held as struct-of-arrays indexed by dense block id: the set of
-// caches holding a copy of each block, whether one of them holds it dirty
-// (memory stale), and which one when so. Slots are never deleted — a block
-// with no holders is an empty sharer set, which encodes and behaves
-// identically to the absent entry of the map-keyed representation this
-// replaced (stale dirty/owner values are unobservable: both are only
-// consulted while the block has holders, and every transition into the
-// dirty state rewrites them).
-type blockStates struct {
-	sharers []bitset.Set
-	dirty   []bool
-	owner   []int32 // valid when dirty
-}
-
-// ensure grows the arrays to cover id. Growth at least doubles, so the
-// per-reference cost amortizes to O(1) and the steady state allocates
-// nothing.
-func (t *blockStates) ensure(id blockid.ID) {
-	if int(id) < len(t.sharers) {
-		return
-	}
-	n := int(id) + 1 + len(t.sharers)
-	old := len(t.owner)
-	t.sharers, t.dirty, t.owner = grow(t.sharers, n), grow(t.dirty, n), grow(t.owner, n)
-	for i := old; i < n; i++ {
-		t.owner[i] = -1
-	}
-}
-
-// appendKey writes the canonical encoding of one block's ground truth: the
-// holder set, and the owner when the block is in the written state. ok is
-// the caller's table-lookup result; a block that was never interned, or has
-// no holders, encodes as "-".
-func (t *blockStates) appendKey(b *strings.Builder, id blockid.ID, ok bool) {
-	if !ok || int(id) >= len(t.sharers) || t.sharers[id].Empty() {
-		b.WriteString("-")
-		return
-	}
-	b.WriteString(t.sharers[id].String())
-	if t.dirty[id] {
-		fmt.Fprintf(b, "!%d", t.owner[id])
-	}
-}
-
-// truth reports the block's holders (ascending) and written state. ok is
-// the caller's table-lookup result.
-func (t *blockStates) truth(id blockid.ID, ok bool) ([]int, bool) {
-	if !ok || int(id) >= len(t.sharers) || t.sharers[id].Empty() {
-		return nil, false
-	}
-	return t.sharers[id].Elems(), t.dirty[id]
 }

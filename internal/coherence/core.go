@@ -2,6 +2,7 @@ package coherence
 
 import (
 	"fmt"
+	"strings"
 
 	"dirsim/internal/bitset"
 	"dirsim/internal/blockid"
@@ -12,12 +13,13 @@ import (
 )
 
 // engineCore is the bookkeeping every engine family shares; each family
-// embeds it and adds only its protocol state and read/write transitions.
-// Section 5's observation that protocols sharing a state-change model
-// differ only in per-event costs is why six families cover all the
-// schemes, and this core is what the six have in common: the name and
-// machine configuration, the tallies, the block-id table, the finite-cache
-// replacers, and the per-reference transaction flag and classification.
+// embeds it and adds only its protocol-specific state and read/write
+// transitions. Section 5's observation that protocols sharing a
+// state-change model differ only in per-event costs is why five families
+// cover all the schemes, and this core is what the five have in common:
+// the name and machine configuration, the tallies, the block-id table,
+// the per-block ground truth, the finite-cache replacers, and the
+// per-reference transaction flag and classification.
 //
 // A family's AccessID is begin, an early return for instruction fetches,
 // the family's read or write, then end; begin and end inline into it.
@@ -27,6 +29,10 @@ type engineCore struct {
 	stats     Stats
 	tab       *blockid.Table
 	replacers []cache.Replacer
+
+	// state is the ground truth every family keeps and every Inspector
+	// key starts from.
+	state blockStates
 
 	// probes is the number of directory accesses one lookup costs: 1,
 	// except for Tang's duplicate-directory search over n tag stores.
@@ -183,4 +189,70 @@ func grow[T any](s []T, n int) []T {
 	out := make([]T, n)
 	copy(out, s)
 	return out
+}
+
+// blockStates is the ground truth for every block, held as struct-of-arrays
+// indexed by dense block id: the set of caches holding a copy of each
+// block, whether the block is in the protocol's written state (memory
+// stale under copy-back; the virtual written state under write-through),
+// and the owner responsible for it. Update protocols have no single owner
+// and leave owner at -1. Slots are never deleted — a block with no holders
+// is an empty sharer set, which encodes and behaves identically to the
+// absent entry of the map-keyed representation this replaced (every path
+// that drops the last holder clears dirty, and stale owner values are
+// unobservable: owner is only consulted while the block is dirty, and
+// every transition into the dirty state rewrites it).
+type blockStates struct {
+	sharers []bitset.Set
+	dirty   []bool
+	owner   []int32 // valid when dirty; -1 when no single cache owns it
+}
+
+// ensure grows the arrays to cover id. It stays small enough to inline on
+// every reference; the growth itself is outlined in growTo.
+func (t *blockStates) ensure(id blockid.ID) {
+	if int(id) >= len(t.sharers) {
+		t.growTo(id)
+	}
+}
+
+// growTo is ensure's slow path. Growth at least doubles, so the
+// per-reference cost amortizes to O(1) and the steady state allocates
+// nothing.
+func (t *blockStates) growTo(id blockid.ID) {
+	n := int(id) + 1 + len(t.sharers)
+	old := len(t.owner)
+	t.sharers, t.dirty, t.owner = grow(t.sharers, n), grow(t.dirty, n), grow(t.owner, n)
+	for i := old; i < n; i++ {
+		t.owner[i] = -1
+	}
+}
+
+// live reports whether the block has any holder. ok is the caller's
+// table-lookup result; an interned id can lie beyond the arrays when the
+// table is shared with other engines.
+func (t *blockStates) live(id blockid.ID, ok bool) bool {
+	return ok && int(id) < len(t.sharers) && !t.sharers[id].Empty()
+}
+
+// appendKey writes the canonical encoding of one block's ground truth: "-"
+// for a block with no holders, else the holder set, then "!" in the
+// written state, followed by the owner when one cache owns the block.
+func (t *blockStates) appendKey(b *strings.Builder, id blockid.ID, ok bool) {
+	if !t.live(id, ok) {
+		b.WriteString("-")
+		return
+	}
+	t.appendHolders(b, id)
+}
+
+// appendHolders is appendKey for a block known to have a slot.
+func (t *blockStates) appendHolders(b *strings.Builder, id blockid.ID) {
+	b.WriteString(t.sharers[id].String())
+	if t.dirty[id] {
+		b.WriteString("!")
+		if t.owner[id] >= 0 {
+			fmt.Fprintf(b, "%d", t.owner[id])
+		}
+	}
 }

@@ -28,7 +28,6 @@ import (
 type DirEngine struct {
 	engineCore
 	store directory.Store
-	state blockStates
 
 	// exclusive marks Dir1NB: a block lives in at most one cache, so a
 	// write hit needs no directory query at all and misses carry their

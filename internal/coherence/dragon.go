@@ -3,7 +3,6 @@ package coherence
 import (
 	"fmt"
 
-	"dirsim/internal/bitset"
 	"dirsim/internal/blockid"
 	"dirsim/internal/bus"
 	"dirsim/internal/events"
@@ -18,6 +17,17 @@ import (
 // loaded, stays forever, so Dragon's miss rates are the native miss rates
 // of the trace and its dominant cost is the write updates (Table 4's
 // wh-distrib row).
+//
+// The same engine runs the whole update family, which shares Dragon's
+// state-change model and differs only in what an update does: Firefly
+// writes it through to memory, and competitive update counts it against
+// a self-invalidation threshold.
+//
+// The ground truth is the core's blockStates: dirty means memory is stale.
+// owner stays -1, because under an update protocol every copy is current
+// and no single cache owns the block. Every path that drops the last copy
+// flushes and clears dirty, so empty slots are indistinguishable from
+// absent entries of the map representation this replaced.
 type Dragon struct {
 	engineCore
 	// updatesMemory marks the Firefly variant: a write update also
@@ -25,31 +35,37 @@ type Dragon struct {
 	// is only ever stale for blocks written while privately held.
 	updatesMemory bool
 
-	st dragonStates
+	// threshold is competitive update's k: a copy that absorbs k foreign
+	// updates without a local access drops out. Zero (Dragon, Firefly)
+	// updates forever.
+	threshold int
+	// unused counts, when threshold > 0, each holder's updates absorbed
+	// since its last local access, as a flattened [id × caches] matrix.
+	// A non-holder's counter is always zero (the map representation this
+	// replaced deleted the entry instead).
+	unused []int32
 }
 
-// dragonStates is the ground truth under an update protocol, held as
-// parallel arrays indexed by block id: who holds copies and whether main
-// memory has the latest value. An empty sharer set is the "never cached /
-// evicted everywhere" state, and every path that drops the last copy
-// flushes and clears memStale, so empty slots are indistinguishable from
-// absent entries of the map representation this replaced.
-type dragonStates struct {
-	sharers  []bitset.Set
-	memStale []bool
-}
-
-func (t *dragonStates) ensure(id blockid.ID) {
-	if int(id) < len(t.sharers) {
-		return
+// ensure grows the per-block state to cover id. It stays small enough to
+// inline on every reference; the growth itself is outlined in growTo.
+func (e *Dragon) ensure(id blockid.ID) {
+	if int(id) >= len(e.state.sharers) {
+		e.growTo(id)
 	}
-	n := int(id) + 1 + len(t.sharers)
-	t.sharers, t.memStale = grow(t.sharers, n), grow(t.memStale, n)
+}
+
+// growTo is ensure's slow path: the ground truth, then the counters when
+// there is a threshold.
+func (e *Dragon) growTo(id blockid.ID) {
+	e.state.growTo(id)
+	if e.threshold > 0 {
+		e.unused = grow(e.unused, len(e.state.sharers)*e.cfg.Caches)
+	}
 }
 
 // NewDragon returns a Dragon engine.
 func NewDragon(cfg Config) (*Dragon, error) {
-	return newUpdateEngine("Dragon", false, cfg)
+	return newUpdateEngine("Dragon", false, 0, cfg)
 }
 
 // NewFirefly returns the DEC Firefly update protocol: like Dragon, stale
@@ -57,16 +73,41 @@ func NewDragon(cfg Config) (*Dragon, error) {
 // written through to main memory, so shared data never goes stale in
 // memory and misses to it are served by memory rather than by a cache.
 func NewFirefly(cfg Config) (*Dragon, error) {
-	return newUpdateEngine("Firefly", true, cfg)
+	return newUpdateEngine("Firefly", true, 0, cfg)
 }
 
-func newUpdateEngine(name string, updatesMemory bool, cfg Config) (*Dragon, error) {
+// NewCompetitive returns a competitive-update engine: Dragon with a
+// self-invalidation threshold. Each cached copy counts the updates it has
+// absorbed since its processor last touched the block; at the threshold
+// the copy drops out instead of being updated again.
+//
+// Pure update protocols never unshare: one stale sharer turns every later
+// write into bus traffic forever (the pathology is easy to provoke in this
+// simulator — migrate a process once under Dragon and its old cache is
+// updated until the end of time). Competitive update bounds the damage at
+// k wasted updates per departed sharer, interpolating between Dragon
+// (k = ∞) and an invalidation protocol (k = 0's limit). The threshold
+// trades update traffic against re-miss traffic, the classic competitive
+// argument (pay at most a constant factor over the offline-optimal
+// choice). threshold must be at least 1.
+func NewCompetitive(threshold int, cfg Config) (*Dragon, error) {
+	if threshold < 1 {
+		return nil, fmt.Errorf("coherence: competitive threshold %d must be at least 1", threshold)
+	}
+	return newUpdateEngine(fmt.Sprintf("Competitive%d", threshold), false, threshold, cfg)
+}
+
+func newUpdateEngine(name string, updatesMemory bool, threshold int, cfg Config) (*Dragon, error) {
 	core, err := newCore(name, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Dragon{engineCore: core, updatesMemory: updatesMemory}, nil
+	return &Dragon{engineCore: core, updatesMemory: updatesMemory, threshold: threshold}, nil
 }
+
+// Threshold returns the self-invalidation threshold k; 0 for a protocol
+// that updates forever.
+func (e *Dragon) Threshold() int { return e.threshold }
 
 // Access implements Engine: intern the block and delegate to AccessID.
 func (e *Dragon) Access(c int, kind trace.Kind, block uint64, first bool) events.Type {
@@ -90,9 +131,11 @@ func (e *Dragon) AccessID(c int, kind trace.Kind, block uint64, id blockid.ID, f
 }
 
 func (e *Dragon) read(c int, block uint64, id blockid.ID, first bool) {
-	e.st.ensure(id)
-	if e.st.sharers[id].Contains(c) {
+	e.ensure(id)
+	st := &e.state
+	if st.sharers[id].Contains(c) {
 		e.event(events.ReadHit)
+		e.used(id, c)
 		e.touch(c, id)
 		return
 	}
@@ -102,16 +145,16 @@ func (e *Dragon) read(c int, block uint64, id blockid.ID, first bool) {
 		return
 	}
 	switch {
-	case e.st.memStale[id]:
+	case st.dirty[id]:
 		// Another cache holds the current value and supplies it over
 		// the bus (memory is stale). In Firefly memory snarfs the data
 		// as it passes, becoming current again.
 		e.event(events.ReadMissDirty)
 		e.emit(bus.OpCacheRead)
 		if e.updatesMemory {
-			e.st.memStale[id] = false
+			st.dirty[id] = false
 		}
-	case !e.st.sharers[id].Empty():
+	case !st.sharers[id].Empty():
 		e.event(events.ReadMissClean)
 		e.emit(bus.OpMemRead)
 	default:
@@ -122,53 +165,89 @@ func (e *Dragon) read(c int, block uint64, id blockid.ID, first bool) {
 }
 
 func (e *Dragon) write(c int, block uint64, id blockid.ID, first bool) {
-	e.st.ensure(id)
-	if e.st.sharers[id].Contains(c) {
+	e.ensure(id)
+	st := &e.state
+	if st.sharers[id].Contains(c) {
 		e.touch(c, id)
-		if e.st.sharers[id].ContainsOther(c) {
+		e.used(id, c)
+		if st.sharers[id].ContainsOther(c) {
 			// The shared line is pulled: broadcast the word so other
-			// copies stay current. Firefly's update also writes the
-			// word through to memory.
+			// copies stay current.
 			e.event(events.WriteHitUpdate)
-			e.emit(bus.OpWriteUpdate)
-			e.st.memStale[id] = !e.updatesMemory
+			e.update(id, c)
 		} else {
 			e.event(events.WriteHitLocal)
-			e.st.memStale[id] = true
+			st.dirty[id] = true
 		}
 		return
 	}
 	if first {
 		e.event(events.WriteMissFirst)
 		e.fill(c, block, id)
-		e.st.memStale[id] = true
+		st.dirty[id] = true
 		return
 	}
 	switch {
-	case e.st.memStale[id]:
+	case st.dirty[id]:
 		e.event(events.WriteMissDirty)
 		e.emit(bus.OpCacheRead)
-	case !e.st.sharers[id].Empty():
+	case !st.sharers[id].Empty():
 		e.event(events.WriteMissClean)
 		e.emit(bus.OpMemRead)
 	default:
 		e.event(events.WriteMissUncached)
 		e.emit(bus.OpMemRead)
 	}
-	hadSharers := !e.st.sharers[id].Empty()
+	hadSharers := !st.sharers[id].Empty()
 	e.fill(c, block, id)
 	if hadSharers {
-		// The freshly written word is distributed to the other holders
-		// (and, in Firefly, through to memory).
-		e.emit(bus.OpWriteUpdate)
-		e.st.memStale[id] = !e.updatesMemory
+		// The freshly written word is distributed to the other holders.
+		e.update(id, c)
 	} else {
-		e.st.memStale[id] = true
+		st.dirty[id] = true
+	}
+}
+
+// update broadcasts the word writer just wrote to the block's other
+// holders. Memory goes stale unless the protocol writes the update through
+// (Firefly). Under a threshold, every other holder counts the update and
+// drops its copy once it has absorbed threshold of them; the writer keeps
+// its copy, so memory stays stale with the writer holding it.
+func (e *Dragon) update(id blockid.ID, writer int) {
+	e.emit(bus.OpWriteUpdate)
+	e.state.dirty[id] = !e.updatesMemory
+	if e.threshold == 0 {
+		return
+	}
+	base := int(id) * e.cfg.Caches
+	sh := &e.state.sharers[id]
+	// Dropping h mid-loop is safe: Next only looks forward from h+1.
+	for h := sh.Next(0); h >= 0; h = sh.Next(h + 1) {
+		if h == writer {
+			continue
+		}
+		e.unused[base+h]++
+		if int(e.unused[base+h]) < e.threshold {
+			continue
+		}
+		sh.Remove(h)
+		e.unused[base+h] = 0
+		e.stats.PointerEvictions++ // reuse the "copies dropped by policy" counter
+		e.removeFromReplacer(h, id)
+	}
+}
+
+// used zeroes cache c's count of updates absorbed for the block: its
+// processor touched it, or its copy came or went.
+func (e *Dragon) used(id blockid.ID, c int) {
+	if e.threshold > 0 {
+		e.unused[int(id)*e.cfg.Caches+c] = 0
 	}
 }
 
 func (e *Dragon) fill(c int, block uint64, id blockid.ID) {
-	e.st.sharers[id].Add(c)
+	e.state.sharers[id].Add(c)
+	e.used(id, c)
 	if e.replacers == nil {
 		return
 	}
@@ -177,23 +256,41 @@ func (e *Dragon) fill(c int, block uint64, id blockid.ID) {
 		return
 	}
 	e.stats.Evictions++
-	e.st.ensure(victim)
-	e.st.sharers[victim].Remove(c)
-	if e.st.sharers[victim].Empty() && e.st.memStale[victim] {
+	e.ensure(victim)
+	st := &e.state
+	st.sharers[victim].Remove(c)
+	e.used(victim, c)
+	if st.sharers[victim].Empty() && st.dirty[victim] {
 		// Last holder of a block memory does not have: flush it.
 		e.emit(bus.OpWriteBack)
 		e.stats.EvictionWriteBacks++
-		e.st.memStale[victim] = false
+		st.dirty[victim] = false
 	}
 }
 
 // CheckInvariants implements Engine.
 func (e *Dragon) CheckInvariants() error {
-	// Slots never written have memStale == false, so only genuinely
-	// inconsistent states reach the error arm.
-	for i := range e.st.sharers {
-		if e.st.memStale[i] && e.st.sharers[i].Empty() {
-			return fmt.Errorf("%s: block %#x stale in memory with no cached copy", e.name, e.tab.Block(blockid.ID(i)))
+	// Slots never written have dirty == false and zero counters, so only
+	// genuinely inconsistent states reach the error arms: a dropped or
+	// evicted copy's counter is zeroed where the map representation
+	// deleted it.
+	for i := range e.state.sharers {
+		id := blockid.ID(i)
+		if e.state.dirty[i] && e.state.sharers[i].Empty() {
+			return fmt.Errorf("%s: block %#x stale in memory with no cached copy", e.name, e.tab.Block(id))
+		}
+		if e.threshold == 0 {
+			continue
+		}
+		base := i * e.cfg.Caches
+		for c := 0; c < e.cfg.Caches; c++ {
+			n := int(e.unused[base+c])
+			if n != 0 && !e.state.sharers[i].Contains(c) {
+				return fmt.Errorf("%s: block %#x counter for non-holder %d", e.name, e.tab.Block(id), c)
+			}
+			if n >= e.threshold {
+				return fmt.Errorf("%s: block %#x holder %d kept past threshold (%d)", e.name, e.tab.Block(id), c, n)
+			}
 		}
 	}
 	return nil

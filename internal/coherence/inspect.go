@@ -3,13 +3,18 @@ package coherence
 import (
 	"fmt"
 	"strings"
+
+	"dirsim/internal/blockid"
 )
 
-// This file implements the Inspector interface for every engine family:
-// canonical protocol-state keys for the model checker in internal/mc, and
-// the ground-truth abstraction its coverage report is phrased in. Keys are
-// built per block in the caller's block order, so equal keys mean equal
-// state over the blocks the checker explores.
+// This file implements the Inspector interface: canonical protocol-state
+// keys for the model checker in internal/mc, and the ground-truth
+// abstraction its coverage report is phrased in. Every family keeps its
+// ground truth in the core's blockStates, so one walk renders every key;
+// a family whose state goes beyond the ground truth hands the walk a
+// per-block renderer. Keys are built per block in the caller's block
+// order, so equal keys mean equal state over the blocks the checker
+// explores.
 //
 // Blocks the engine has never interned have no state by construction and
 // render exactly like an absent entry of the map representation this
@@ -25,7 +30,6 @@ var (
 	_ Inspector = (*SnoopyInval)(nil)
 	_ Inspector = (*Dragon)(nil)
 	_ Inspector = (*MOESI)(nil)
-	_ Inspector = (*Competitive)(nil)
 	_ Inspector = (*ReadBroadcast)(nil)
 )
 
@@ -37,166 +41,86 @@ var (
 	_ IndexedEngine = (*SnoopyInval)(nil)
 	_ IndexedEngine = (*Dragon)(nil)
 	_ IndexedEngine = (*MOESI)(nil)
-	_ IndexedEngine = (*Competitive)(nil)
 	_ IndexedEngine = (*ReadBroadcast)(nil)
 )
+
+// StateKey implements Inspector for the families whose ground truth is
+// their whole state: the snoopy invalidation engines and MOESI carry no
+// directory, and Dragon and Firefly no counters.
+func (k *engineCore) StateKey(blocks []uint64) string {
+	return k.stateKey(blocks, k.state.appendKey)
+}
+
+// stateKey is the one Inspector walk: "b<block>:" then render's encoding
+// of the block, then ";", for each block in order. ok is the block's
+// table-lookup result.
+func (k *engineCore) stateKey(blocks []uint64, render func(b *strings.Builder, id blockid.ID, ok bool)) string {
+	var b strings.Builder
+	for _, blk := range blocks {
+		fmt.Fprintf(&b, "b%d:", blk)
+		id, ok := k.tab.Lookup(blk)
+		render(&b, id, ok)
+		b.WriteString(";")
+	}
+	return b.String()
+}
+
+// Truth implements Inspector.
+func (k *engineCore) Truth(block uint64) ([]int, bool) {
+	id, ok := k.tab.Lookup(block)
+	if !k.state.live(id, ok) {
+		return nil, false
+	}
+	return k.state.sharers[id].Elems(), k.state.dirty[id]
+}
 
 // StateKey implements Inspector: ground truth plus the directory store's
 // per-block memory, which can lag the truth (TwoBit cannot forget holders,
 // coded sets only widen) and therefore changes future behaviour.
 func (e *DirEngine) StateKey(blocks []uint64) string {
-	var b strings.Builder
-	for _, blk := range blocks {
-		fmt.Fprintf(&b, "b%d:", blk)
-		id, ok := e.tab.Lookup(blk)
-		e.state.appendKey(&b, id, ok)
+	return e.stateKey(blocks, func(b *strings.Builder, id blockid.ID, ok bool) {
+		e.state.appendKey(b, id, ok)
 		b.WriteString("/")
 		if ok {
 			b.WriteString(e.store.BlockKey(id))
 		}
-		b.WriteString(";")
-	}
-	return b.String()
+	})
 }
 
-// Truth implements Inspector.
-func (e *DirEngine) Truth(block uint64) ([]int, bool) {
-	id, ok := e.tab.Lookup(block)
-	return e.state.truth(id, ok)
-}
-
-// StateKey implements Inspector: snoopy engines carry no directory, so the
-// ground-truth table is the whole state.
-func (e *SnoopyInval) StateKey(blocks []uint64) string {
-	var b strings.Builder
-	for _, blk := range blocks {
-		fmt.Fprintf(&b, "b%d:", blk)
-		id, ok := e.tab.Lookup(blk)
-		e.state.appendKey(&b, id, ok)
-		b.WriteString(";")
-	}
-	return b.String()
-}
-
-// Truth implements Inspector.
-func (e *SnoopyInval) Truth(block uint64) ([]int, bool) {
-	id, ok := e.tab.Lookup(block)
-	return e.state.truth(id, ok)
-}
-
-// StateKey implements Inspector: holder set plus the memory-stale bit (an
-// update protocol has no single owner — every copy is current).
+// StateKey implements Inspector: holder set and staleness (an update
+// protocol has no single owner — every copy is current), plus, under a
+// threshold, every holder's absorbed-update counter. A counter exists
+// exactly for the holders (it is zeroed when a copy drops), so iterating
+// the sharer set ascending matches the sorted-key order the map
+// representation printed.
 func (e *Dragon) StateKey(blocks []uint64) string {
-	var b strings.Builder
-	for _, blk := range blocks {
-		fmt.Fprintf(&b, "b%d:", blk)
-		id, ok := e.tab.Lookup(blk)
-		if !ok || int(id) >= len(e.st.sharers) || e.st.sharers[id].Empty() {
-			b.WriteString("-")
-		} else {
-			b.WriteString(e.st.sharers[id].String())
-			if e.st.memStale[id] {
-				b.WriteString("!")
-			}
+	if e.threshold == 0 {
+		return e.engineCore.StateKey(blocks)
+	}
+	return e.stateKey(blocks, func(b *strings.Builder, id blockid.ID, ok bool) {
+		e.state.appendKey(b, id, ok)
+		if !e.state.live(id, ok) {
+			return
 		}
-		b.WriteString(";")
-	}
-	return b.String()
-}
-
-// Truth implements Inspector.
-func (e *Dragon) Truth(block uint64) ([]int, bool) {
-	id, ok := e.tab.Lookup(block)
-	if !ok || int(id) >= len(e.st.sharers) || e.st.sharers[id].Empty() {
-		return nil, false
-	}
-	return e.st.sharers[id].Elems(), e.st.memStale[id]
-}
-
-// StateKey implements Inspector: holder set, staleness, and the owner
-// responsible for the stale memory copy (dirty sharing distinguishes
-// states MESI-family keys cannot reach).
-func (e *MOESI) StateKey(blocks []uint64) string {
-	var b strings.Builder
-	for _, blk := range blocks {
-		fmt.Fprintf(&b, "b%d:", blk)
-		id, ok := e.tab.Lookup(blk)
-		e.state.appendKey(&b, id, ok)
-		b.WriteString(";")
-	}
-	return b.String()
-}
-
-// Truth implements Inspector.
-func (e *MOESI) Truth(block uint64) ([]int, bool) {
-	id, ok := e.tab.Lookup(block)
-	return e.state.truth(id, ok)
-}
-
-// StateKey implements Inspector: holder set, staleness, and every holder's
-// absorbed-update counter. A counter exists exactly for the holders (it is
-// zeroed when a copy drops), so iterating the sharer set ascending matches
-// the sorted-key order the map representation printed.
-func (e *Competitive) StateKey(blocks []uint64) string {
-	var b strings.Builder
-	for _, blk := range blocks {
-		fmt.Fprintf(&b, "b%d:", blk)
-		id, ok := e.tab.Lookup(blk)
-		if !ok || int(id) >= len(e.st.sharers) || e.st.sharers[id].Empty() {
-			b.WriteString("-")
-		} else {
-			b.WriteString(e.st.sharers[id].String())
-			if e.st.memStale[id] {
-				b.WriteString("!")
-			}
-			base := int(id) * e.cfg.Caches
-			for h := e.st.sharers[id].Next(0); h >= 0; h = e.st.sharers[id].Next(h + 1) {
-				fmt.Fprintf(&b, "u%d=%d", h, e.st.unused[base+h])
-			}
+		base := int(id) * e.cfg.Caches
+		sh := &e.state.sharers[id]
+		for h := sh.Next(0); h >= 0; h = sh.Next(h + 1) {
+			fmt.Fprintf(b, "u%d=%d", h, e.unused[base+h])
 		}
-		b.WriteString(";")
-	}
-	return b.String()
-}
-
-// Truth implements Inspector.
-func (e *Competitive) Truth(block uint64) ([]int, bool) {
-	id, ok := e.tab.Lookup(block)
-	if !ok || int(id) >= len(e.st.sharers) || e.st.sharers[id].Empty() {
-		return nil, false
-	}
-	return e.st.sharers[id].Elems(), e.st.memStale[id]
+	})
 }
 
 // StateKey implements Inspector: holder set, written state, and the
-// snarfer set waiting to refill off the next bus read.
+// snarfer set waiting to refill off the next bus read. A block renders as
+// "-" only when it has neither holders nor snarfers.
 func (e *ReadBroadcast) StateKey(blocks []uint64) string {
-	var b strings.Builder
-	for _, blk := range blocks {
-		fmt.Fprintf(&b, "b%d:", blk)
-		id, ok := e.tab.Lookup(blk)
-		if !ok || int(id) >= len(e.st.sharers) || (e.st.sharers[id].Empty() && e.st.snarfers[id].Empty()) {
-			b.WriteString("-")
-		} else {
-			b.WriteString(e.st.sharers[id].String())
-			if e.st.dirty[id] {
-				fmt.Fprintf(&b, "!%d", e.st.owner[id])
-			}
-			if !e.st.snarfers[id].Empty() {
-				b.WriteString("s")
-				b.WriteString(e.st.snarfers[id].String())
-			}
+	return e.stateKey(blocks, func(b *strings.Builder, id blockid.ID, ok bool) {
+		if !ok || int(id) >= len(e.snarfers) || e.snarfers[id].Empty() {
+			e.state.appendKey(b, id, ok)
+			return
 		}
-		b.WriteString(";")
-	}
-	return b.String()
-}
-
-// Truth implements Inspector.
-func (e *ReadBroadcast) Truth(block uint64) ([]int, bool) {
-	id, ok := e.tab.Lookup(block)
-	if !ok || int(id) >= len(e.st.sharers) || e.st.sharers[id].Empty() {
-		return nil, false
-	}
-	return e.st.sharers[id].Elems(), e.st.dirty[id]
+		e.state.appendHolders(b, id)
+		b.WriteString("s")
+		b.WriteString(e.snarfers[id].String())
+	})
 }

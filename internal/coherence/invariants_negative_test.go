@@ -52,8 +52,8 @@ func TestCheckInvariantsFiresOnCorruption(t *testing.T) {
 			// Stale memory with no cached copy left to supply the data.
 			d := e.(*Dragon)
 			id, _ := d.tab.Lookup(blk)
-			d.st.memStale[id] = true
-			d.st.sharers[id].Remove(0)
+			d.state.dirty[id] = true
+			d.state.sharers[id].Remove(0)
 			return "stale"
 		}},
 		{"moesi", func(t *testing.T, e Engine) string {
@@ -65,16 +65,16 @@ func TestCheckInvariantsFiresOnCorruption(t *testing.T) {
 		}},
 		{"competitive4", func(t *testing.T, e Engine) string {
 			// An update counter for a cache that holds no copy.
-			c := e.(*Competitive)
+			c := e.(*Dragon)
 			id, _ := c.tab.Lookup(blk)
-			c.st.unused[int(id)*c.cfg.Caches+3] = 1
+			c.unused[int(id)*c.cfg.Caches+3] = 1
 			return "non-holder"
 		}},
 		{"readbroadcast", func(t *testing.T, e Engine) string {
 			// A cache cannot both hold the block and wait to snarf it.
 			r := e.(*ReadBroadcast)
 			id, _ := r.tab.Lookup(blk)
-			r.st.snarfers[id].Add(0)
+			r.snarfers[id].Add(0)
 			return "snarfer"
 		}},
 	}

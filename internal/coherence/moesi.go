@@ -22,14 +22,13 @@ import (
 // classification reflects it — every read miss to such a block is
 // rm-blk-drty, no matter how many readers have joined since the write.
 //
-// The ground truth is blockStates: dirty means memory is stale, and owner
-// is the holder responsible for the stale data. The protocol keeps "empty
-// sharers ⇒ memory current" (the owner's eviction flushes), so an empty
-// slot is indistinguishable from an absent entry of the map
+// The ground truth is the core's blockStates: dirty means memory is stale,
+// and owner is the holder responsible for the stale data. The protocol
+// keeps "empty sharers ⇒ memory current" (the owner's eviction flushes),
+// so an empty slot is indistinguishable from an absent entry of the map
 // representation this replaced.
 type MOESI struct {
 	engineCore
-	state blockStates
 }
 
 // NewMOESI returns a MOESI engine.

@@ -25,33 +25,27 @@ import (
 // the Dir0B/WTI family — the point of the optimisation.
 type ReadBroadcast struct {
 	engineCore
-	st rbStates
-}
-
-// rbStates tracks, in parallel arrays indexed by block id: holders, the
-// virtual written-state, and the caches whose invalidated copies are
-// waiting to snarf the next bus read. A slot with empty sharers and empty
-// snarfers (and therefore dirty == false — the sole written holder's
-// eviction clears it) is indistinguishable from an absent entry of the map
-// representation this replaced.
-type rbStates struct {
-	sharers  []bitset.Set
+	// snarfers holds, per block id beside the core's ground truth, the
+	// caches whose invalidated copies are waiting to snarf the next bus
+	// read. A slot with empty sharers and empty snarfers (and therefore
+	// dirty == false — the sole written holder's eviction clears it) is
+	// indistinguishable from an absent entry of the map representation
+	// this replaced.
 	snarfers []bitset.Set
-	dirty    []bool // written and not since shared (memory stays current)
-	owner    []int32
 }
 
-func (t *rbStates) ensure(id blockid.ID) {
-	if int(id) < len(t.sharers) {
-		return
+// ensure grows the per-block state to cover id. It stays small enough to
+// inline on every reference; the growth itself is outlined in growTo.
+func (e *ReadBroadcast) ensure(id blockid.ID) {
+	if int(id) >= len(e.state.sharers) {
+		e.growTo(id)
 	}
-	n := int(id) + 1 + len(t.sharers)
-	old := len(t.owner)
-	t.sharers, t.snarfers = grow(t.sharers, n), grow(t.snarfers, n)
-	t.dirty, t.owner = grow(t.dirty, n), grow(t.owner, n)
-	for i := old; i < n; i++ {
-		t.owner[i] = -1
-	}
+}
+
+// growTo is ensure's slow path: the ground truth, then the snarfer sets.
+func (e *ReadBroadcast) growTo(id blockid.ID) {
+	e.state.growTo(id)
+	e.snarfers = grow(e.snarfers, len(e.state.sharers))
 }
 
 // NewReadBroadcast returns a read-broadcast engine.
@@ -85,8 +79,8 @@ func (e *ReadBroadcast) AccessID(c int, kind trace.Kind, block uint64, id blocki
 }
 
 func (e *ReadBroadcast) read(c int, block uint64, id blockid.ID, first bool) {
-	e.st.ensure(id)
-	if e.st.sharers[id].Contains(c) {
+	e.ensure(id)
+	if e.state.sharers[id].Contains(c) {
 		e.event(events.ReadHit)
 		e.touch(c, id)
 		return
@@ -97,11 +91,11 @@ func (e *ReadBroadcast) read(c int, block uint64, id blockid.ID, first bool) {
 		return
 	}
 	switch {
-	case e.st.dirty[id]:
+	case e.state.dirty[id]:
 		e.event(events.ReadMissDirty)
-		e.st.dirty[id] = false
-		e.st.owner[id] = -1
-	case !e.st.sharers[id].Empty():
+		e.state.dirty[id] = false
+		e.state.owner[id] = -1
+	case !e.state.sharers[id].Empty():
 		e.event(events.ReadMissClean)
 	default:
 		e.event(events.ReadMissUncached)
@@ -113,13 +107,13 @@ func (e *ReadBroadcast) read(c int, block uint64, id blockid.ID, first bool) {
 }
 
 func (e *ReadBroadcast) write(c int, block uint64, id blockid.ID, first bool) {
-	e.st.ensure(id)
-	if e.st.sharers[id].Contains(c) {
+	e.ensure(id)
+	if e.state.sharers[id].Contains(c) {
 		e.touch(c, id)
-		if e.st.dirty[id] {
+		if e.state.dirty[id] {
 			e.event(events.WriteHitDirty)
 		} else {
-			others := e.st.sharers[id].CountExcluding(c)
+			others := e.state.sharers[id].CountExcluding(c)
 			e.stats.InvalFanout.Observe(others)
 			if others == 0 {
 				e.event(events.WriteHitCleanSole)
@@ -141,11 +135,11 @@ func (e *ReadBroadcast) write(c int, block uint64, id blockid.ID, first bool) {
 		return
 	}
 	switch {
-	case e.st.dirty[id]:
+	case e.state.dirty[id]:
 		e.event(events.WriteMissDirty)
-	case !e.st.sharers[id].Empty():
+	case !e.state.sharers[id].Empty():
 		e.event(events.WriteMissClean)
-		e.stats.InvalFanout.Observe(e.st.sharers[id].Count())
+		e.stats.InvalFanout.Observe(e.state.sharers[id].Count())
 		e.stats.InvalEvents++
 		e.stats.BroadcastInvals++
 	default:
@@ -161,10 +155,10 @@ func (e *ReadBroadcast) write(c int, block uint64, id blockid.ID, first bool) {
 // invalidateOthers drops every other copy, remembering the victims as
 // snarfers for the next bus read of the block.
 func (e *ReadBroadcast) invalidateOthers(id blockid.ID, c int) {
-	sh := &e.st.sharers[id]
+	sh := &e.state.sharers[id]
 	for h := sh.Next(0); h >= 0; h = sh.Next(h + 1) {
 		if h != c {
-			e.st.snarfers[id].Add(h)
+			e.snarfers[id].Add(h)
 			e.removeFromReplacer(h, id)
 		}
 	}
@@ -176,23 +170,23 @@ func (e *ReadBroadcast) invalidateOthers(id blockid.ID, c int) {
 }
 
 func (e *ReadBroadcast) makeSole(id blockid.ID, c int) {
-	e.st.sharers[id].Clear()
-	e.st.sharers[id].Add(c)
-	e.st.snarfers[id].Remove(c)
-	e.st.dirty[id] = true
-	e.st.owner[id] = int32(c)
+	e.state.sharers[id].Clear()
+	e.state.sharers[id].Add(c)
+	e.snarfers[id].Remove(c)
+	e.state.dirty[id] = true
+	e.state.owner[id] = int32(c)
 }
 
 // fillWithSnarf installs the block in cache c and, because the fill's data
 // crossed the bus, in every waiting snarfer as well.
 //
-// The loop re-indexes e.st on every step: dropVictim may grow the state
+// The loop re-indexes the state on every step: dropVictim may grow the
 // arrays (reallocating them), so no element pointer is held across it.
 func (e *ReadBroadcast) fillWithSnarf(c int, block uint64, id blockid.ID) {
-	e.st.sharers[id].Add(c)
-	e.st.snarfers[id].Remove(c)
-	for h := e.st.snarfers[id].Next(0); h >= 0; h = e.st.snarfers[id].Next(h + 1) {
-		e.st.sharers[id].Add(h)
+	e.state.sharers[id].Add(c)
+	e.snarfers[id].Remove(c)
+	for h := e.snarfers[id].Next(0); h >= 0; h = e.snarfers[id].Next(h + 1) {
+		e.state.sharers[id].Add(h)
 		if e.replacers != nil {
 			// The snarfed copy occupies a frame in h's cache too.
 			if victim, evicted := e.replacers[h].Insert(block, id); evicted {
@@ -200,8 +194,8 @@ func (e *ReadBroadcast) fillWithSnarf(c int, block uint64, id blockid.ID) {
 			}
 		}
 	}
-	e.stats.Snarfs += uint64(e.st.snarfers[id].Count())
-	e.st.snarfers[id].Clear()
+	e.stats.Snarfs += uint64(e.snarfers[id].Count())
+	e.snarfers[id].Clear()
 	e.insertReplacer(c, block, id)
 }
 
@@ -218,12 +212,12 @@ func (e *ReadBroadcast) insertReplacer(c int, block uint64, id blockid.ID) {
 // write-through caches evict silently.
 func (e *ReadBroadcast) dropVictim(c int, victim blockid.ID) {
 	e.stats.Evictions++
-	e.st.ensure(victim)
-	e.st.sharers[victim].Remove(c)
-	e.st.snarfers[victim].Remove(c)
-	if e.st.dirty[victim] && int(e.st.owner[victim]) == c {
-		e.st.dirty[victim] = false
-		e.st.owner[victim] = -1
+	e.ensure(victim)
+	e.state.sharers[victim].Remove(c)
+	e.snarfers[victim].Remove(c)
+	if e.state.dirty[victim] && int(e.state.owner[victim]) == c {
+		e.state.dirty[victim] = false
+		e.state.owner[victim] = -1
 	}
 }
 
@@ -231,13 +225,13 @@ func (e *ReadBroadcast) dropVictim(c int, victim blockid.ID) {
 func (e *ReadBroadcast) CheckInvariants() error {
 	// Fully evicted slots have dirty == false and empty snarfers, so they
 	// never reach an error arm.
-	for i := range e.st.sharers {
-		if e.st.dirty[i] && e.st.sharers[i].Count() != 1 {
-			return fmt.Errorf("ReadBroadcast: block %#x written-state with %d holders", e.tab.Block(blockid.ID(i)), e.st.sharers[i].Count())
+	for i := range e.state.sharers {
+		if e.state.dirty[i] && e.state.sharers[i].Count() != 1 {
+			return fmt.Errorf("ReadBroadcast: block %#x written-state with %d holders", e.tab.Block(blockid.ID(i)), e.state.sharers[i].Count())
 		}
 		var bad int = -1
-		e.st.snarfers[i].ForEach(func(h int) bool {
-			if e.st.sharers[i].Contains(h) {
+		e.snarfers[i].ForEach(func(h int) bool {
+			if e.state.sharers[i].Contains(h) {
 				bad = h
 				return false
 			}

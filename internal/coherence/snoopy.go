@@ -37,8 +37,6 @@ type SnoopyInval struct {
 	// protocols flush dirty victims; write-through protocols evict
 	// silently (memory is already current).
 	writeBackOnEvict bool
-
-	state blockStates
 }
 
 // NewSnoopyInval assembles a snoopy invalidation engine from a per-event

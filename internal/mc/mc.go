@@ -51,10 +51,6 @@ type Options struct {
 	// MaxNodes caps the exploration (default 1 << 16); Result.Truncated
 	// reports whether the cap was hit.
 	MaxNodes int
-	// SkipDeterminismCheck disables the replay determinism cross-check
-	// (each new state's path is replayed on a second fresh engine and
-	// the keys compared).
-	SkipDeterminismCheck bool
 }
 
 func (o Options) withDefaults() Options {
@@ -252,17 +248,17 @@ func Explore(mk func() (coherence.Engine, error), opts Options) (*Result, error)
 				if nodes[j].depth > res.Depth {
 					res.Depth = nodes[j].depth
 				}
-				if !opts.SkipDeterminismCheck {
-					e2, err := replay(pathTo(j))
-					if err != nil {
-						return nil, err
-					}
-					if k2 := key(e2, newSeen); k2 != k {
-						res.Violations = append(res.Violations, Violation{
-							Path: pathTo(j),
-							Err:  fmt.Errorf("mc: nondeterministic replay: %q vs %q", k, k2),
-						})
-					}
+				// Replay the new state's path on a second fresh
+				// engine: the key must come out the same.
+				e2, err := replay(pathTo(j))
+				if err != nil {
+					return nil, err
+				}
+				if k2 := key(e2, newSeen); k2 != k {
+					res.Violations = append(res.Violations, Violation{
+						Path: pathTo(j),
+						Err:  fmt.Errorf("mc: nondeterministic replay: %q vs %q", k, k2),
+					})
 				}
 			}
 			edges[[2]int{i, j}] = true
