@@ -230,7 +230,9 @@ cluster-smoke:
 # with the flight recorder on must produce a valid NDJSON trace and a
 # valid Chrome trace (checked by cmd/tracecheck), and tracing must not
 # perturb results — the traced run's CSV is byte-identical to the
-# untraced one.
+# untraced one. The second pair cross-checks pricing the same way:
+# untraced, RunSchemes prices Berkeley, Tang, WTI, Write-Once and MESI
+# from the simulated Dir0B and Dir_nNB; traced, it simulates all seven.
 trace-smoke:
 	rm -rf trace-smoke.tmp && mkdir trace-smoke.tmp
 	$(GO) build -o trace-smoke.tmp/dirsim ./cmd/dirsim
@@ -245,6 +247,14 @@ trace-smoke:
 	./trace-smoke.tmp/dirsim -workload pops -refs 50000 -schemes dir1b \
 		-csv -trace-out trace-smoke.tmp/run.json -spans > /dev/null
 	./trace-smoke.tmp/tracecheck -format chrome -min-events 100 trace-smoke.tmp/run.json
+	./trace-smoke.tmp/dirsim -workload pops -refs 50000 \
+		-schemes dir0b,berkeley,dirnnb,tang,wti,writeonce,mesi \
+		-csv > trace-smoke.tmp/untraced-priced.csv
+	./trace-smoke.tmp/dirsim -workload pops -refs 50000 \
+		-schemes dir0b,berkeley,dirnnb,tang,wti,writeonce,mesi \
+		-csv -trace-out trace-smoke.tmp/priced.ndjson \
+		> trace-smoke.tmp/traced-priced.csv
+	cmp trace-smoke.tmp/untraced-priced.csv trace-smoke.tmp/traced-priced.csv
 	rm -rf trace-smoke.tmp
 
 # Prometheus-scrape drill (same scenario CI runs): dirsimd on an

@@ -286,11 +286,19 @@ func RunContext(ctx context.Context, rd TraceReader, engines []Engine, opts Opti
 }
 
 // RunSchemes builds the named engines and runs the trace through them.
+// The results equal Run's over the same engines, but only the engines
+// whose Stats no other engine of the run determines are simulated:
+// Berkeley, Tang, WTI, Write-Once and MESI are priced from a simulated
+// engine sharing their state-change model where that is exact (Berkeley
+// from Dir0B, Tang from DirnNB, the snoopy schemes from a
+// multiple-readers/single-writer engine under infinite caches). With an
+// enabled Options.Recorder every scheme is simulated and traced.
 func RunSchemes(rd TraceReader, names []string, cfg EngineConfig, opts Options) ([]Result, error) {
 	return sim.RunSchemes(context.Background(), rd, names, cfg, opts)
 }
 
-// RunSchemesContext is RunSchemes with a cancellation context.
+// RunSchemesContext is RunSchemes with a cancellation context; it prices
+// the same schemes RunSchemes does.
 func RunSchemesContext(ctx context.Context, rd TraceReader, names []string, cfg EngineConfig, opts Options) ([]Result, error) {
 	return sim.RunSchemes(ctx, rd, names, cfg, opts)
 }

@@ -20,7 +20,10 @@
 //
 // Keeping both lets the simulator reproduce the paper's methodology
 // (event frequencies × per-event costs) and cross-check it against direct
-// message-level accounting — the two must agree exactly.
+// message-level accounting — the two must agree exactly. The same split
+// lets a driver price an engine from another engine's Stats instead of
+// simulating it, where Section 5's shared state-change models make that
+// exact (PricedFrom, Price).
 package coherence
 
 import (

@@ -31,8 +31,11 @@ import (
 //     invalidation cycle.
 type SnoopyInval struct {
 	engineCore
-	// table maps each event to the bus operations one occurrence costs.
-	table map[events.Type][]bus.Op
+	// table lists, for each event, the bus operations one occurrence
+	// costs. classify reads it on every reference and price reads it to
+	// cost a basis's event tallies, so it is the one statement of the
+	// protocol's per-event costs.
+	table [events.NumTypes][]bus.Op
 	// writeBackOnEvict controls finite-cache behaviour: copy-back
 	// protocols flush dirty victims; write-through protocols evict
 	// silently (memory is already current).
@@ -40,13 +43,21 @@ type SnoopyInval struct {
 }
 
 // NewSnoopyInval assembles a snoopy invalidation engine from a per-event
-// operation table. Most callers want NewWTI, NewWriteOnce or NewMESI.
+// operation table, which must be keyed by event types only. Most callers
+// want NewWTI, NewWriteOnce or NewMESI.
 func NewSnoopyInval(name string, table map[events.Type][]bus.Op, writeBackOnEvict bool, cfg Config) (*SnoopyInval, error) {
 	core, err := newCore(name, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &SnoopyInval{engineCore: core, table: table, writeBackOnEvict: writeBackOnEvict}, nil
+	e := &SnoopyInval{engineCore: core, writeBackOnEvict: writeBackOnEvict}
+	for t, ops := range table {
+		if int(t) >= events.NumTypes {
+			return nil, fmt.Errorf("coherence: %s: unknown event type %d in the operation table", name, t)
+		}
+		e.table[t] = ops
+	}
+	return e, nil
 }
 
 // NewWTI returns the Write-Through-With-Invalidate engine: all writes go to

@@ -254,3 +254,10 @@ func TestOracleFirefly(t *testing.T) {
 			return &fireflyOracle{dragonOracle: *newDragonOracle()}
 		})
 }
+
+func TestNewSnoopyInvalRejectsUnknownEvent(t *testing.T) {
+	table := map[events.Type][]bus.Op{events.Type(events.NumTypes): {bus.OpMemRead}}
+	if _, err := NewSnoopyInval("bad", table, false, cfg4()); err == nil {
+		t.Fatal("an operation table keyed by an unknown event type was accepted")
+	}
+}

@@ -18,6 +18,16 @@
 // a single id-indexed engine over an in-memory trace with no recorder.
 // Results carry the Table 4 event counts, the bus-operation tallies priced
 // by internal/bus, and the Figure 1 invalidation-fanout histogram.
+//
+// Run simulates every engine it is given. RunSchemes, which builds its
+// own engines, simulates only those whose Stats no other engine of the
+// run determines, and prices the rest from a simulated basis sharing
+// their state-change model, as the paper prices event frequencies
+// (Section 4.1): Berkeley from Dir0B, Tang from Dir_nNB, and WTI,
+// Write-Once and MESI from any multiple-readers/single-writer engine
+// (coherence.PricedFrom states the conditions). The results are those
+// of simulating every engine; a traced run simulates every engine so
+// each keeps its own flight track.
 package sim
 
 import (
@@ -126,8 +136,10 @@ func (o Options) workers(n int) int {
 type Result struct {
 	// Scheme is the engine's name.
 	Scheme string
-	// Stats are the engine's accumulated tallies (shared with the
-	// engine; treat as read-only after the run).
+	// Stats are the engine's accumulated tallies: shared with the engine
+	// when it was simulated (treat as read-only after the run), and owned
+	// by the result, sharing nothing with any engine, when RunSchemes
+	// priced it from a basis.
 	Stats *coherence.Stats
 	// adjust rewrites cost models for engines with a published cost
 	// derivation (Berkeley's free directory checks); identity otherwise.
@@ -587,12 +599,19 @@ func Run(ctx context.Context, rd trace.Reader, engines []coherence.Engine, opts 
 	}
 	results := make([]Result, len(engines))
 	for i, e := range engines {
-		results[i] = Result{Scheme: e.Name(), Stats: e.Stats()}
-		if adj, ok := e.(coherence.ModelAdjuster); ok {
-			results[i].adjust = adj.AdjustModel
-		}
+		results[i] = newResult(e, e.Stats())
 	}
 	return results, nil
+}
+
+// newResult is engine e's result with Stats st, keeping e's cost-model
+// adjustment.
+func newResult(e coherence.Engine, st *coherence.Stats) Result {
+	r := Result{Scheme: e.Name(), Stats: st}
+	if adj, ok := e.(coherence.ModelAdjuster); ok {
+		r.adjust = adj.AdjustModel
+	}
+	return r
 }
 
 // drive is the driver's one decode loop: it checks cancellation, takes the
@@ -778,7 +797,14 @@ func (d *decoder) applyFused(refs []trace.Ref, eng coherence.IndexedEngine) erro
 	return nil
 }
 
-// RunSchemes builds the named engines and runs rd through them.
+// RunSchemes builds the named engines and runs rd through them, returning
+// one Result per name, in order. The results are those Run gives over the
+// same engines, but RunSchemes simulates only the engines whose Stats no
+// other engine of the run determines: Berkeley, Tang and the snoopy
+// invalidation schemes are priced from a simulated engine sharing their
+// state-change model wherever coherence.PricedFrom allows (DESIGN.md §9).
+// With an enabled Options.Recorder every engine is simulated, so each
+// keeps its own flight track.
 func RunSchemes(ctx context.Context, rd trace.Reader, names []string, cfg coherence.Config, opts Options) ([]Result, error) {
 	engines := make([]coherence.Engine, len(names))
 	for i, n := range names {
@@ -788,7 +814,62 @@ func RunSchemes(ctx context.Context, rd trace.Reader, names []string, cfg cohere
 		}
 		engines[i] = e
 	}
-	return Run(ctx, rd, engines, opts)
+	if opts.Recorder.Enabled() {
+		return Run(ctx, rd, engines, opts)
+	}
+	basis := pricingBases(engines)
+	simulated := make([]coherence.Engine, 0, len(engines))
+	for i, e := range engines {
+		if basis[i] == i {
+			simulated = append(simulated, e)
+		}
+	}
+	rs, err := Run(ctx, rd, simulated, opts)
+	if err != nil || len(rs) == len(engines) {
+		return rs, err
+	}
+	results := make([]Result, len(engines))
+	for i, e := range engines {
+		if basis[i] == i {
+			results[i], rs = rs[0], rs[1:]
+			continue
+		}
+		// ok is true: pricingBases picks only bases PricedFrom accepts.
+		st, _ := coherence.Price(e, engines[basis[i]])
+		results[i] = newResult(e, st)
+	}
+	return results, nil
+}
+
+// pricingBases returns, for each engine, the index of the simulated engine
+// its Stats are priced from: its own index when it is simulated itself.
+// An engine no other engine can price is simulated; each of the rest, in
+// order, is priced from the first engine already known to be simulated
+// that can price it, and is simulated when there is none.
+func pricingBases(engines []coherence.Engine) []int {
+	basis := make([]int, len(engines))
+	for i, e := range engines {
+		basis[i] = i
+		for _, b := range engines {
+			if coherence.PricedFrom(e, b) {
+				basis[i] = -1
+				break
+			}
+		}
+	}
+	for i, e := range engines {
+		if basis[i] == i {
+			continue
+		}
+		basis[i] = i
+		for j, b := range engines {
+			if basis[j] == j && coherence.PricedFrom(e, b) {
+				basis[i] = j
+				break
+			}
+		}
+	}
+	return basis
 }
 
 // Combine merges per-trace results for the same scheme into one aggregate,
