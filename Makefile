@@ -231,8 +231,9 @@ cluster-smoke:
 # valid Chrome trace (checked by cmd/tracecheck), and tracing must not
 # perturb results — the traced run's CSV is byte-identical to the
 # untraced one. The second pair cross-checks pricing the same way:
-# untraced, RunSchemes prices Berkeley, Tang, WTI, Write-Once and MESI
-# from the simulated Dir0B and Dir_nNB; traced, it simulates all seven.
+# untraced, RunSchemes simulates Dir_nNB alone and prices Dir0B,
+# Berkeley, Tang, WTI, Write-Once, MESI, Dir1B and Dir4B from it; traced,
+# it simulates all nine.
 trace-smoke:
 	rm -rf trace-smoke.tmp && mkdir trace-smoke.tmp
 	$(GO) build -o trace-smoke.tmp/dirsim ./cmd/dirsim
@@ -248,10 +249,10 @@ trace-smoke:
 		-csv -trace-out trace-smoke.tmp/run.json -spans > /dev/null
 	./trace-smoke.tmp/tracecheck -format chrome -min-events 100 trace-smoke.tmp/run.json
 	./trace-smoke.tmp/dirsim -workload pops -refs 50000 \
-		-schemes dir0b,berkeley,dirnnb,tang,wti,writeonce,mesi \
+		-schemes dir0b,berkeley,dirnnb,tang,wti,writeonce,mesi,dir1b,dir4b \
 		-csv > trace-smoke.tmp/untraced-priced.csv
 	./trace-smoke.tmp/dirsim -workload pops -refs 50000 \
-		-schemes dir0b,berkeley,dirnnb,tang,wti,writeonce,mesi \
+		-schemes dir0b,berkeley,dirnnb,tang,wti,writeonce,mesi,dir1b,dir4b \
 		-csv -trace-out trace-smoke.tmp/priced.ndjson \
 		> trace-smoke.tmp/traced-priced.csv
 	cmp trace-smoke.tmp/untraced-priced.csv trace-smoke.tmp/traced-priced.csv

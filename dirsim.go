@@ -288,11 +288,13 @@ func RunContext(ctx context.Context, rd TraceReader, engines []Engine, opts Opti
 // RunSchemes builds the named engines and runs the trace through them.
 // The results equal Run's over the same engines, but only the engines
 // whose Stats no other engine of the run determines are simulated:
-// Berkeley, Tang, WTI, Write-Once and MESI are priced from a simulated
-// engine sharing their state-change model where that is exact (Berkeley
-// from Dir0B, Tang from DirnNB, the snoopy schemes from a
-// multiple-readers/single-writer engine under infinite caches). With an
-// enabled Options.Recorder every scheme is simulated and traced.
+// Dir0B, Dir_iB, Berkeley, Tang, WTI, Write-Once and MESI are priced from
+// a simulated engine sharing their state-change model where that is exact
+// (Tang from DirnNB; Dir0B and Berkeley from a directory engine that never
+// evicts a copy, under a memory-resident directory; Dir_iB likewise under
+// infinite caches; the snoopy schemes from a multiple-readers/single-writer
+// engine under infinite caches). With an enabled Options.Recorder every
+// scheme is simulated and traced.
 func RunSchemes(rd TraceReader, names []string, cfg EngineConfig, opts Options) ([]Result, error) {
 	return sim.RunSchemes(context.Background(), rd, names, cfg, opts)
 }

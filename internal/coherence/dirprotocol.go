@@ -42,6 +42,13 @@ type DirEngine struct {
 	// per-reference path; it reaches steady-state capacity after the
 	// first few invalidations and never allocates again.
 	scratch []int
+
+	// missSharers is the true sharer count at each WriteMissClean.
+	// Stats.InvalFanout counts those writes and the write hits to clean
+	// blocks together; subtracting this tally splits it by event, which
+	// is what pricing Dir0B and Dir_iB from this engine needs (priced.go).
+	// It stays outside Stats, so results keep their wire form.
+	missSharers trace.Histogram
 }
 
 // NewDirEngine assembles a directory engine around an arbitrary store. Most
@@ -135,6 +142,13 @@ func NewCodedSet(cfg Config) (*DirEngine, error) {
 // Store exposes the underlying directory organisation (for storage
 // accounting and tests).
 func (e *DirEngine) Store() directory.Store { return e.store }
+
+// ResetStats implements Engine: the tallies, missSharers included, are
+// zeroed and the protocol state is kept.
+func (e *DirEngine) ResetStats() {
+	e.engineCore.ResetStats()
+	e.missSharers = trace.Histogram{}
+}
 
 // Access implements Engine: intern the block and delegate to AccessID.
 func (e *DirEngine) Access(c int, kind trace.Kind, block uint64, first bool) events.Type {
@@ -251,7 +265,9 @@ func (e *DirEngine) write(c int, block uint64, id blockid.ID, first bool) {
 		st.dirty[id] = false
 	case !st.sharers[id].Empty():
 		e.event(events.WriteMissClean)
-		e.stats.InvalFanout.Observe(st.sharers[id].Count())
+		n := st.sharers[id].Count()
+		e.stats.InvalFanout.Observe(n)
+		e.missSharers.Observe(n)
 		e.emit(bus.OpMemRead)
 		e.invalidateOthers(id, c)
 	default:

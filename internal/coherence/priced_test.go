@@ -63,7 +63,41 @@ func TestPricedFromRule(t *testing.T) {
 		{"inf", "berkeley", "dir0b", true, "same engine, free directory"},
 		{"finite", "berkeley", "dir0b", true, "any configuration"},
 		{"sparse", "berkeley", "dir0b", true, "any configuration"},
-		{"inf", "dir0b", "berkeley", false, "only Berkeley is priced"},
+		{"sparse", "dir0b", "berkeley", false, "only Berkeley is priced from its twin"},
+		{"sparse", "berkeley", "dirnnb", false, "entry evictions depend on the store"},
+		{"inf", "dir0b", "berkeley", true, "Berkeley is Dir0B"},
+		{"inf", "dir0b", "dirnnb", true, "every invalidation broadcast"},
+		{"inf", "dir0b", "tang", true, "Tang's probes do not carry over"},
+		{"inf", "dir0b", "codedset", true, "wasted invalidations do not carry over"},
+		{"inf", "dir0b", "dir2b", true, "Dir_jB broadcasts instead of evicting"},
+		{"finite", "dir0b", "dirnnb", true, "two-bit broadcasts whenever a block is cached"},
+		{"finite", "dir0b", "dir1b", true, "a finite Dir_jB still shares the events"},
+		{"sparse", "dir0b", "dirnnb", false, "entry evictions depend on the store"},
+		{"inf", "dir0b", "dir1nb", false, "pointer evictions"},
+		{"inf", "dir0b", "dir2nb", false, "pointer evictions"},
+		{"inf", "dir0b", "wti", false, "a snoopy engine keeps no sharer counts"},
+		{"inf", "dir1b", "dirnnb", true, "broadcast beyond one holder"},
+		{"inf", "dir2b", "tang", true, "broadcast beyond two holders"},
+		{"inf", "dir2b", "codedset", true, "the coded set shares the events"},
+		{"inf", "dir1b", "dir2b", true, "another pointer budget"},
+		{"inf", "dir2b", "dir1b", true, "another pointer budget"},
+		{"inf", "dir2b", "dir0b", true, "two-bit shares the events"},
+		{"inf", "dir1b", "berkeley", true, "Berkeley is Dir0B"},
+		{"finite", "dir1b", "dirnnb", false, "evictions leave the broadcast bit set"},
+		{"finite", "dir2b", "dir1b", false, "evictions leave the broadcast bit set"},
+		{"sparse", "dir1b", "dirnnb", false, "entry evictions depend on the store"},
+		{"inf", "dir2b", "dir1nb", false, "pointer evictions"},
+		{"inf", "dir1b", "dir2nb", false, "pointer evictions"},
+		{"inf", "berkeley", "dirnnb", true, "as Dir0B"},
+		{"inf", "berkeley", "tang", true, "as Dir0B"},
+		{"inf", "berkeley", "codedset", true, "as Dir0B"},
+		{"inf", "berkeley", "dir2b", true, "as Dir0B"},
+		{"finite", "berkeley", "dirnnb", true, "as Dir0B"},
+		{"inf", "berkeley", "dir1nb", false, "pointer evictions"},
+		{"inf", "berkeley", "dir2nb", false, "pointer evictions"},
+		{"inf", "dirnnb", "dir0b", false, "the full map is simulated"},
+		{"inf", "codedset", "dirnnb", false, "supersets depend on which caches share"},
+		{"inf", "dir1nb", "dirnnb", false, "Dir_iNB evicts copies"},
 		{"inf", "tang", "dirnnb", true, "scaled directory accesses"},
 		{"sparse", "tang", "dirnnb", true, "any configuration"},
 		{"inf", "dirnnb", "tang", false, "only Tang is priced"},

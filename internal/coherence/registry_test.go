@@ -51,8 +51,9 @@ func TestNewByNameRejectsUnknown(t *testing.T) {
 
 // FuzzNewByName throws arbitrary names at the registry: any accepted name
 // must yield a working engine whose invariants hold before and after a
-// couple of references, and the contract error==nil ⇔ engine!=nil must
-// never break.
+// couple of references and whose name SchemeName gives without building
+// it, and the contracts error==nil ⇔ engine!=nil and SchemeName accepts
+// ⇔ NewByName accepts must never break.
 func FuzzNewByName(f *testing.F) {
 	for _, name := range EngineNames() {
 		f.Add(name)
@@ -60,13 +61,17 @@ func FuzzNewByName(f *testing.F) {
 	for _, seed := range []string{
 		"DIR1NB", " dirnnb ", "fullmap", "censier-feautrier", "archibald-baer",
 		"twobit", "coded-set", "illinois", "goodman", "rudolph-segall",
-		"dir12b", "dir999nb", "competitive16", "competitive",
+		"dir1b", "dir16b", "dir1nb", "dir12b", "dir999nb", "competitive4", "competitive16", "competitive",
 		"", "dir", "dir-1b", "dir1nbx", "no such scheme", "dir0b\x00",
 	} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, name string) {
 		e, err := NewByName(name, Config{Caches: 2})
+		display, nameErr := SchemeName(name)
+		if (nameErr == nil) != (err == nil) {
+			t.Fatalf("%q: NewByName error %v, SchemeName error %v", name, err, nameErr)
+		}
 		if err != nil {
 			if e != nil {
 				t.Fatalf("NewByName(%q) returned both engine and error %v", name, err)
@@ -78,6 +83,9 @@ func FuzzNewByName(f *testing.F) {
 		}
 		if e.Name() == "" {
 			t.Fatalf("NewByName(%q): engine has empty display name", name)
+		}
+		if display != e.Name() {
+			t.Fatalf("SchemeName(%q) = %q, engine is %q", name, display, e.Name())
 		}
 		if e.Caches() != 2 {
 			t.Fatalf("NewByName(%q): engine simulates %d caches, want 2", name, e.Caches())

@@ -350,6 +350,33 @@ func NewByName(name string) (int, error) {
 `
 	wantFindings(t, lintSrc(t, "dirsim/internal/coherence", silent, nil, EngineRegistryRule{}), EngineRegistryRule{}, 0)
 
+	// A NewByName that delegates name resolution is checked through the
+	// function it calls.
+	delegated := `package coherence
+import "errors"
+func EngineNames() []string {
+	return []string{"alpha", "ghost"}
+}
+func NewByName(name string) (int, error) {
+	return resolve(name)
+}
+func resolve(name string) (int, error) {
+	switch name {
+	case "alpha", "a":
+		return 1, nil
+	case "beta":
+		return 2, nil
+	}
+	return 0, errors.New("unknown")
+}
+`
+	fs = lintSrc(t, "dirsim/internal/coherence", delegated, nil, EngineRegistryRule{})
+	wantFindings(t, fs, EngineRegistryRule{}, 2)
+	joined = fs[0].Msg + " " + fs[1].Msg
+	if !strings.Contains(joined, `"ghost"`) || !strings.Contains(joined, `"beta"`) {
+		t.Errorf("delegated findings should name ghost and beta: %v", fs)
+	}
+
 	// Packages without the registry pair are out of scope.
 	other := `package fix
 func EngineNames() []string { return []string{"x"} }

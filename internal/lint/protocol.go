@@ -207,11 +207,11 @@ func moduleCtor(p *Package, call *ast.CallExpr) *types.Func {
 // EngineRegistryRule checks the scheme registry in the package that
 // defines both EngineNames and NewByName (internal/coherence): every name
 // EngineNames advertises must be constructible — a case literal in
-// NewByName or an instance of the parametric dir<i>nb / dir<i>b /
-// competitive<k> families — and the canonical (first) literal of every
-// NewByName case must be advertised by EngineNames. Together the two
-// directions keep the studies, the CLI and the tests seeing the same set
-// of schemes.
+// NewByName, or in a package function NewByName calls to resolve names,
+// or an instance of the parametric dir<i>nb / dir<i>b / competitive<k>
+// families — and the canonical (first) literal of every such case must be
+// advertised by EngineNames. Together the two directions keep the
+// studies, the CLI and the tests seeing the same set of schemes.
 type EngineRegistryRule struct{}
 
 // Name implements Rule.
@@ -225,12 +225,14 @@ func (EngineRegistryRule) Doc() string {
 // Check implements Rule.
 func (EngineRegistryRule) Check(p *Package) []Finding {
 	var namesFn, byNameFn *ast.FuncDecl
+	funcs := map[string]*ast.FuncDecl{}
 	for _, f := range p.Files {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
 			if !ok || fd.Recv != nil {
 				continue
 			}
+			funcs[fd.Name.Name] = fd
 			switch fd.Name.Name {
 			case "EngineNames":
 				namesFn = fd
@@ -242,11 +244,22 @@ func (EngineRegistryRule) Check(p *Package) []Finding {
 	if namesFn == nil || byNameFn == nil || namesFn.Body == nil || byNameFn.Body == nil {
 		return nil
 	}
+	// The name switch is NewByName's own or that of a package function
+	// it delegates to.
+	bodies := []ast.Node{byNameFn.Body}
+	ast.Inspect(byNameFn.Body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			if id, ok := call.Fun.(*ast.Ident); ok && funcs[id.Name] != nil && funcs[id.Name].Body != nil {
+				bodies = append(bodies, funcs[id.Name].Body)
+			}
+		}
+		return true
+	})
 
 	advertised := stringLits(namesFn.Body)
 	caseLits := map[string]bool{}
 	var caseFirst []*ast.BasicLit
-	ast.Inspect(byNameFn.Body, func(n ast.Node) bool {
+	inspectCases := func(n ast.Node) bool {
 		cc, ok := n.(*ast.CaseClause)
 		if !ok {
 			return true
@@ -266,7 +279,10 @@ func (EngineRegistryRule) Check(p *Package) []Finding {
 			}
 		}
 		return true
-	})
+	}
+	for _, b := range bodies {
+		ast.Inspect(b, inspectCases)
+	}
 
 	advertisedSet := map[string]bool{}
 	var out []Finding

@@ -670,8 +670,10 @@ func (s *Server) peering() (router *cluster.Router, mem cluster.Membership, self
 // simulating it: the cell's HRW owner first, then one sibling — two
 // bounded, cheap lookups, not a broadcast (the paper's point-to-point
 // directory argument, applied to the service itself). Every fetched
-// document is verified against the content address before use, so a
-// compromised or confused peer can only cause a miss, never bad data.
+// document goes through spec.VerifyCellDoc before use, so a document for
+// other work, of another schema generation, with results for other
+// schemes or with events that do not partition its references is a
+// miss. Stats that a peer forged to pass those checks are not detected.
 func (s *Server) peerFetchCell(ctx context.Context, parent otrace.Context, hash string) ([]byte, bool) {
 	router, mem, self, pc, ok := s.peering()
 	if !ok {

@@ -13,11 +13,15 @@ import (
 // event frequencies are measured once, then "weighted by their respective
 // costs in bus cycles" for any hardware model.
 //
-// It is defined for Dir1NB, Dir0B, Berkeley, WTI and Dragon. Schemes with
-// data-dependent operation counts (sequential invalidations in Dir_nNB,
-// Dir_iB's conditional broadcast, coded-set supersets) need the fan-out
-// distribution as well and are not expressible as a per-event table; for
-// them the engine's direct operation tally is authoritative.
+// It is defined for Dir1NB, Dir0B, Berkeley, WTI, Dragon, Firefly, MESI
+// and Write-Once, transcribed independently of the engines so that
+// VerifyAccounting cross-checks them, priced results included. Schemes
+// whose invalidation counts depend on the sharer count have no per-event
+// table: Dir_nNB sends one message per sharer, and Dir_iB directs or
+// broadcasts by the sharer count. Dir_iB's operations are a function of
+// the fan-out split by event (coherence.Price computes them that way);
+// the coded set's also depend on which caches share. For these the
+// engine's direct operation tally is authoritative here.
 func PerEventOps(scheme string) (map[events.Type]bus.OpCounts, bool) {
 	mk := func(ops ...bus.Op) bus.OpCounts {
 		var c bus.OpCounts

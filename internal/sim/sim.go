@@ -23,11 +23,13 @@
 // own engines, simulates only those whose Stats no other engine of the
 // run determines, and prices the rest from a simulated basis sharing
 // their state-change model, as the paper prices event frequencies
-// (Section 4.1): Berkeley from Dir0B, Tang from Dir_nNB, and WTI,
-// Write-Once and MESI from any multiple-readers/single-writer engine
-// (coherence.PricedFrom states the conditions). The results are those
-// of simulating every engine; a traced run simulates every engine so
-// each keeps its own flight track.
+// (Section 4.1): Tang from Dir_nNB; Dir0B, Berkeley and every Dir_iB
+// from a directory engine that never evicts a copy; and WTI, Write-Once
+// and MESI from any multiple-readers/single-writer engine
+// (coherence.PricedFrom states the conditions). Of the 17 registry
+// schemes it simulates nine. The results are those of simulating every
+// engine; a traced run simulates every engine so each keeps its own
+// flight track.
 package sim
 
 import (
@@ -800,9 +802,10 @@ func (d *decoder) applyFused(refs []trace.Ref, eng coherence.IndexedEngine) erro
 // RunSchemes builds the named engines and runs rd through them, returning
 // one Result per name, in order. The results are those Run gives over the
 // same engines, but RunSchemes simulates only the engines whose Stats no
-// other engine of the run determines: Berkeley, Tang and the snoopy
-// invalidation schemes are priced from a simulated engine sharing their
-// state-change model wherever coherence.PricedFrom allows (DESIGN.md §9).
+// other engine of the run determines: Dir0B, Dir_iB, Berkeley, Tang and
+// the snoopy invalidation schemes are priced from a simulated engine
+// sharing their state-change model wherever coherence.PricedFrom allows
+// (DESIGN.md §9), so a run of Dir1B through Dir16B simulates one engine.
 // With an enabled Options.Recorder every engine is simulated, so each
 // keeps its own flight track.
 func RunSchemes(ctx context.Context, rd trace.Reader, names []string, cfg coherence.Config, opts Options) ([]Result, error) {

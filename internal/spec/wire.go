@@ -49,14 +49,15 @@ type CellDoc struct {
 	Results     json.RawMessage `json:"results"`
 }
 
-// VerifyCellDoc authenticates a cell document received from an
-// untrusted transport (a cluster peer) against the content address it
-// was requested under: the document must be from the current schema
-// generation, its embedded spec must re-hash to exactly hash, and it
-// must carry one result per scheme the spec names. A document that
-// passes is as trustworthy as a locally simulated one — the hash the
-// fetcher computed from its own cell is the ground truth, so a peer
-// cannot substitute results for different work.
+// VerifyCellDoc checks a cell document received from an untrusted
+// transport (a cluster peer) against the content address it was
+// requested under. The document must be from the current schema
+// generation, and its embedded spec must re-hash to exactly hash, so a
+// peer cannot pass off results for different work. It must carry one
+// result per scheme the spec names, in spec order, each under the name
+// the engine for that scheme reports, with Stats whose events partition
+// its references. The counts themselves are not re-derived: a peer that
+// forges Stats satisfying these checks goes undetected.
 func VerifyCellDoc(hash string, data []byte) error {
 	if err := CheckDocVersion(data); err != nil {
 		return err
@@ -82,6 +83,21 @@ func VerifyCellDoc(hash string, data []byte) error {
 	}
 	if len(results) != len(c.Schemes) {
 		return fmt.Errorf("spec: cell document has %d results for %d schemes", len(results), len(c.Schemes))
+	}
+	for i, r := range results {
+		name, err := coherence.SchemeName(c.Schemes[i])
+		if err != nil {
+			return fmt.Errorf("spec: cell document spec: %w", err)
+		}
+		switch {
+		case r.Scheme != name:
+			return fmt.Errorf("spec: cell document result %d is %q, want %q for scheme %q", i, r.Scheme, name, c.Schemes[i])
+		case r.Stats == nil:
+			return fmt.Errorf("spec: cell document result %d (%s) has no stats", i, r.Scheme)
+		case r.Stats.Events.Total() != r.Stats.Refs:
+			return fmt.Errorf("spec: cell document result %d (%s): events total %d for %d refs",
+				i, r.Scheme, r.Stats.Events.Total(), r.Stats.Refs)
+		}
 	}
 	return nil
 }
