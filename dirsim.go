@@ -310,8 +310,14 @@ func RunSchemesContext(ctx context.Context, rd TraceReader, names []string, cfg 
 func CombineResults(results []Result) (Result, error) { return sim.Combine(results) }
 
 // VerifyAccounting cross-checks the event-frequency methodology against
-// the direct operation tally for fixed-cost schemes.
+// the direct operation tally for fixed-cost schemes. A run that replaced
+// sparse-directory entries is not checkable; the error then wraps
+// ErrAccountingNotCheckable.
 func VerifyAccounting(r Result) error { return sim.VerifyAccounting(r) }
+
+// ErrAccountingNotCheckable is wrapped by VerifyAccounting's error for a
+// result whose operations its events cannot account for.
+var ErrAccountingNotCheckable = sim.ErrNotCheckable
 
 // ---------------------------------------------------------------------------
 // Replicated studies.

@@ -37,7 +37,10 @@ type entry struct {
 	id  ID // none marks an empty slot
 }
 
-// Table interns block addresses. The zero value is not usable; call New.
+// Table interns block addresses. The zero value is an empty table; its
+// probe slots are allocated by the first Intern, so a table that is made
+// but never interned into (an engine's own table, replaced by BindBlocks
+// before the first reference) costs only its header.
 type Table struct {
 	// blocks maps id → address, in first-appearance order.
 	blocks []uint64
@@ -47,18 +50,11 @@ type Table struct {
 	shift uint
 }
 
+// initialBits is log2 of the probe-table size the first Intern allocates.
+const initialBits = 10
+
 // New returns an empty table.
-func New() *Table {
-	const initial = 1 << 10
-	t := &Table{
-		entries: make([]entry, initial),
-		shift:   54, // 64 - log2(initial)
-	}
-	for i := range t.entries {
-		t.entries[i].id = none
-	}
-	return t
-}
+func New() *Table { return &Table{} }
 
 // Len returns the number of distinct blocks interned.
 func (t *Table) Len() int { return len(t.blocks) }
@@ -72,6 +68,15 @@ func (t *Table) Block(id ID) uint64 { return t.blocks[id] }
 // exactly the "first reference to the block anywhere in the trace"
 // predicate the paper's cold-miss exclusion needs.
 func (t *Table) Intern(block uint64) (id ID, fresh bool) {
+	if len(t.entries) == 0 {
+		// First intern: allocate the probe slots. Inline, like the
+		// doubling below, so the allocation stays behind a length guard.
+		t.entries = make([]entry, 1<<initialBits)
+		for j := range t.entries {
+			t.entries[j].id = none
+		}
+		t.shift = 64 - initialBits
+	}
 	mask := uint64(len(t.entries) - 1)
 	i := (block * hashMul) >> t.shift
 	for {
@@ -118,6 +123,9 @@ func (t *Table) Intern(block uint64) (id ID, fresh bool) {
 // Lookup returns the id previously assigned to block, if any. It never
 // assigns.
 func (t *Table) Lookup(block uint64) (ID, bool) {
+	if len(t.entries) == 0 {
+		return 0, false
+	}
 	mask := uint64(len(t.entries) - 1)
 	i := (block * hashMul) >> t.shift
 	for {

@@ -44,6 +44,29 @@ func TestLookup(t *testing.T) {
 	}
 }
 
+// A new table is only its header: the probe slots wait for the first
+// Intern, so an engine whose table BindBlocks replaces never fills one.
+// The zero Table works the same.
+func TestTableDefersProbeSlots(t *testing.T) {
+	if a := testing.AllocsPerRun(100, func() { _ = New() }); a > 1 {
+		t.Errorf("New makes %v allocations, want at most 1 (the header)", a)
+	}
+	for _, tab := range []*Table{New(), {}} {
+		if _, ok := tab.Lookup(3); ok || tab.Len() != 0 {
+			t.Fatal("empty table found a block")
+		}
+		if len(tab.entries) != 0 {
+			t.Fatalf("empty table holds %d probe slots", len(tab.entries))
+		}
+		if id, fresh := tab.Intern(3); id != 0 || !fresh {
+			t.Fatalf("first Intern = (%d, %v), want (0, true)", id, fresh)
+		}
+		if id, ok := tab.Lookup(3); !ok || id != 0 {
+			t.Fatalf("Lookup after the first Intern = (%d, %v)", id, ok)
+		}
+	}
+}
+
 // Block 0 is a legal address and must not collide with the empty-slot
 // marker.
 func TestBlockZero(t *testing.T) {

@@ -45,8 +45,9 @@ type engineCore struct {
 }
 
 // newCore validates cfg and builds the shared state for an engine named
-// name: a private block-id table and, for finite caches, the per-cache
-// replacers.
+// name: a private block-id table, empty until the first address-keyed
+// Access interns into it (BindBlocks usually replaces it before then),
+// and, for finite caches, the per-cache replacers.
 func newCore(name string, cfg Config) (engineCore, error) {
 	if err := cfg.Validate(); err != nil {
 		return engineCore{}, err

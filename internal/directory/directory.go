@@ -405,17 +405,25 @@ func (t *TwoBit) BlockKey(id blockid.ID) string {
 // fall back to broadcast; with Broadcast false (Dir_iNB) the store frees a
 // pointer by evicting the oldest tracked copy, bounding the number of
 // simultaneous copies at i and avoiding broadcast entirely.
+//
+// Pointers live in one flat array of stride slots per block id, the
+// first count of them in FIFO order (oldest first), beside a per-block
+// word holding the count and the broadcast bit: the struct-of-arrays
+// layout of the other stores, so the steady state allocates nothing.
 type LimitedPointer struct {
 	i         int
 	broadcast bool
 	caches    int
-	entries   []lpEntry // per block id; the zero value tracks nothing
+	// stride is the pointer slots per block: i, capped at the cache
+	// count, since a block never has more distinct holders than caches.
+	stride int
+	ptrs   []int32  // stride slots per block id
+	meta   []uint32 // per block id: pointer count | lpBcast; zero tracks nothing
 }
 
-type lpEntry struct {
-	ptrs  []int // FIFO order, oldest first
-	bcast bool
-}
+// lpBcast is the broadcast bit of a LimitedPointer meta word; the bits
+// below it count the block's pointers.
+const lpBcast = 1 << 31
 
 // NewLimitedPointer returns a limited-pointer store with i pointers for n
 // caches. broadcast selects the Dir_iB (true) or Dir_iNB (false) variant.
@@ -426,7 +434,7 @@ func NewLimitedPointer(i, n int, broadcast bool) (*LimitedPointer, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("directory: cache count %d must be at least 1", n)
 	}
-	return &LimitedPointer{i: i, broadcast: broadcast, caches: n}, nil
+	return &LimitedPointer{i: i, broadcast: broadcast, caches: n, stride: min(i, n)}, nil
 }
 
 // Name implements Store.
@@ -444,54 +452,68 @@ func (l *LimitedPointer) Pointers() int { return l.i }
 // broadcast bit) rather than Dir_iNB (overflow evicts a copy).
 func (l *LimitedPointer) Broadcast() bool { return l.broadcast }
 
-// ensure grows the entry slice to cover id (amortized growth).
+// ensure grows the per-block arrays to cover id (amortized growth).
 func (l *LimitedPointer) ensure(id blockid.ID) {
-	if int(id) < len(l.entries) {
+	if int(id) < len(l.meta) {
 		return
 	}
-	grown := make([]lpEntry, int(id)+1+len(l.entries))
-	copy(grown, l.entries)
-	l.entries = grown
+	meta := make([]uint32, int(id)+1+len(l.meta))
+	copy(meta, l.meta)
+	l.meta = meta
+	ptrs := make([]int32, len(meta)*l.stride)
+	copy(ptrs, l.ptrs)
+	l.ptrs = ptrs
+}
+
+// block returns block id's pointer slots and its meta word. id must be
+// covered by ensure.
+func (l *LimitedPointer) block(id blockid.ID) ([]int32, *uint32) {
+	base := int(id) * l.stride
+	return l.ptrs[base : base+l.stride], &l.meta[id]
 }
 
 // Add implements Store.
 func (l *LimitedPointer) Add(id blockid.ID, c int) int {
 	l.ensure(id)
-	e := &l.entries[id]
-	for _, p := range e.ptrs {
-		if p == c {
+	slots, m := l.block(id)
+	n := int(*m &^ lpBcast)
+	for _, p := range slots[:n] {
+		if int(p) == c {
 			return -1
 		}
 	}
-	if e.bcast {
+	if *m&lpBcast != 0 {
 		// Already beyond tracking; the new copy is covered by the
 		// broadcast bit.
 		return -1
 	}
-	if len(e.ptrs) < l.i {
-		e.ptrs = append(e.ptrs, c)
+	if n < l.i {
+		slots[n] = int32(c)
+		*m++
 		return -1
 	}
 	if l.broadcast {
-		e.bcast = true
+		*m |= lpBcast
 		return -1
 	}
 	// Dir_iNB: evict the oldest pointer to make room.
-	victim := e.ptrs[0]
-	copy(e.ptrs, e.ptrs[1:])
-	e.ptrs[len(e.ptrs)-1] = c
+	victim := int(slots[0])
+	copy(slots, slots[1:n])
+	slots[n-1] = int32(c)
 	return victim
 }
 
 // Remove implements Store.
 func (l *LimitedPointer) Remove(id blockid.ID, c int) {
-	if int(id) >= len(l.entries) {
+	if int(id) >= len(l.meta) {
 		return
 	}
-	e := &l.entries[id]
-	for i, p := range e.ptrs {
-		if p == c {
-			e.ptrs = append(e.ptrs[:i], e.ptrs[i+1:]...)
+	slots, m := l.block(id)
+	n := int(*m &^ lpBcast)
+	for k, p := range slots[:n] {
+		if int(p) == c {
+			copy(slots[k:], slots[k+1:n])
+			*m--
 			return
 		}
 	}
@@ -500,60 +522,64 @@ func (l *LimitedPointer) Remove(id blockid.ID, c int) {
 // SetSole implements Store.
 func (l *LimitedPointer) SetSole(id blockid.ID, c int) {
 	l.ensure(id)
-	e := &l.entries[id]
-	e.ptrs = append(e.ptrs[:0], c)
-	e.bcast = false
+	slots, m := l.block(id)
+	slots[0] = int32(c)
+	*m = 1
 }
 
 // Clear implements Store.
 func (l *LimitedPointer) Clear(id blockid.ID) {
-	if int(id) < len(l.entries) {
-		e := &l.entries[id]
-		e.ptrs = e.ptrs[:0]
-		e.bcast = false
+	if int(id) < len(l.meta) {
+		l.meta[id] = 0
 	}
+}
+
+// pointers returns block id's pointers in FIFO order and its broadcast
+// bit, without growing the store.
+func (l *LimitedPointer) pointers(id blockid.ID) ([]int32, bool) {
+	if int(id) >= len(l.meta) {
+		return nil, false
+	}
+	slots, m := l.block(id)
+	return slots[:*m&^lpBcast], *m&lpBcast != 0
 }
 
 // Targets implements Store.
 func (l *LimitedPointer) Targets(dst []int, id blockid.ID, except int) ([]int, bool) {
-	if int(id) >= len(l.entries) {
-		return dst, false
-	}
-	e := &l.entries[id]
-	if e.bcast {
+	ptrs, bcast := l.pointers(id)
+	if bcast {
 		return dst, true
 	}
-	return appendExcept(dst, e.ptrs, except), false
+	for _, p := range ptrs {
+		if int(p) != except {
+			dst = append(dst, int(p))
+		}
+	}
+	return dst, false
 }
 
 // Count implements Store.
 func (l *LimitedPointer) Count(id blockid.ID) (int, bool) {
-	if int(id) >= len(l.entries) {
-		return 0, true
-	}
-	e := &l.entries[id]
-	if e.bcast {
+	ptrs, bcast := l.pointers(id)
+	if bcast {
 		// At least i+1 copies exist somewhere.
 		return l.i + 1, false
 	}
-	return len(e.ptrs), true
+	return len(ptrs), true
 }
 
 // BlockKey implements Store: the pointer list in FIFO order (the order
 // picks the Dir_iNB eviction victim, so it is state) plus the broadcast
 // bit.
 func (l *LimitedPointer) BlockKey(id blockid.ID) string {
-	if int(id) >= len(l.entries) {
+	ptrs, bcast := l.pointers(id)
+	if bcast {
+		return fmt.Sprintf("%v*", ptrs)
+	}
+	if len(ptrs) == 0 {
 		return ""
 	}
-	e := &l.entries[id]
-	if len(e.ptrs) == 0 && !e.bcast {
-		return ""
-	}
-	if e.bcast {
-		return fmt.Sprintf("%v*", e.ptrs)
-	}
-	return fmt.Sprint(e.ptrs)
+	return fmt.Sprint(ptrs)
 }
 
 // StorageBits implements Store: i pointers of ceil(log2 n) bits, a dirty

@@ -5,6 +5,8 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"dirsim/internal/blockid"
 )
 
 func sorted(xs []int) []int {
@@ -231,6 +233,79 @@ func TestLimitedPointerDuplicateAddAndRemove(t *testing.T) {
 		t.Fatalf("Count after Remove = %d", n)
 	}
 	lp.Remove(3, 1) // absent: no-op
+}
+
+// TestLimitedPointerFIFOKeys pins the pointer order BlockKey reports:
+// removal closes the gap, Dir_iNB evicts the oldest, Dir_iB keeps its
+// pointers beside the broadcast bit, and a budget above the cache count
+// never overflows.
+func TestLimitedPointerFIFOKeys(t *testing.T) {
+	nb, _ := NewLimitedPointer(3, 8, false)
+	b, _ := NewLimitedPointer(2, 8, true)
+	wide, _ := NewLimitedPointer(5, 2, true)
+	for _, step := range []struct {
+		do   func()
+		l    *LimitedPointer
+		id   blockid.ID
+		want string
+	}{
+		{func() { nb.Add(7, 0); nb.Add(7, 1); nb.Add(7, 2) }, nb, 7, "[0 1 2]"},
+		{func() { nb.Remove(7, 1) }, nb, 7, "[0 2]"},
+		{func() { nb.Add(7, 3) }, nb, 7, "[0 2 3]"},
+		{func() { nb.Add(7, 4) }, nb, 7, "[2 3 4]"},
+		{func() { nb.SetSole(7, 5) }, nb, 7, "[5]"},
+		{func() { nb.Clear(7) }, nb, 7, ""},
+		{func() { b.Add(2, 4); b.Add(2, 6); b.Add(2, 1) }, b, 2, "[4 6]*"},
+		{func() { b.Remove(2, 4) }, b, 2, "[6]*"},
+		{func() { b.SetSole(2, 1) }, b, 2, "[1]"},
+		{func() { wide.Add(0, 1); wide.Add(0, 0) }, wide, 0, "[1 0]"},
+	} {
+		step.do()
+		if got := step.l.BlockKey(step.id); got != step.want {
+			t.Fatalf("%s: BlockKey %q, want %q", step.l.Name(), got, step.want)
+		}
+	}
+}
+
+// TestLimitedPointerAllocationFree checks that the store allocates only
+// when its arrays grow: Add, Remove, SetSole, Clear, Count and Targets
+// allocate nothing on ids already grown, and a fresh store covering 256
+// blocks makes three allocations — its header and its two arrays — not
+// one per block.
+func TestLimitedPointerAllocationFree(t *testing.T) {
+	const blocks = 256
+	dst := make([]int, 0, 8)
+	ops := func(l *LimitedPointer) {
+		for id := blockid.ID(0); id < blocks; id++ {
+			for c := 0; c < 4; c++ {
+				l.Add(id, c)
+			}
+			dst, _ = l.Targets(dst[:0], id, 0)
+			l.Remove(id, 1)
+			l.Add(id, 5)
+			l.Count(id)
+			l.SetSole(id, 3)
+			l.Clear(id)
+		}
+	}
+	for _, bcast := range []bool{false, true} {
+		l, err := NewLimitedPointer(2, 8, bcast)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.Add(blocks-1, 0)
+		if a := testing.AllocsPerRun(20, func() { ops(l) }); a != 0 {
+			t.Errorf("%s: %v allocations per steady-state pass, want 0", l.Name(), a)
+		}
+		a := testing.AllocsPerRun(20, func() {
+			l, _ := NewLimitedPointer(2, 8, bcast)
+			l.Add(blocks-1, 0)
+			ops(l)
+		})
+		if a > 3 {
+			t.Errorf("%s: %v allocations for a fresh store over %d blocks, want at most 3", l.Name(), a, blocks)
+		}
+	}
 }
 
 func TestLimitedPointerStorage(t *testing.T) {

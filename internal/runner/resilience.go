@@ -138,12 +138,38 @@ type guardedReader struct {
 	rd  trace.Reader
 }
 
+// guard wraps rd in a guardedReader observing ctx. A chunked reader stays
+// chunked and is checked once per chunk: the chunked readers (in-memory
+// traces and the generator) produce a chunk without blocking, so only a
+// per-reference source can stall partway through one.
+func guard(ctx context.Context, rd trace.Reader) trace.Reader {
+	g := &guardedReader{ctx: ctx, rd: rd}
+	if cr, ok := rd.(trace.ChunkReader); ok {
+		return &guardedChunkReader{guardedReader: g, cr: cr}
+	}
+	return g
+}
+
 // Next implements trace.Reader.
 func (g *guardedReader) Next() (trace.Ref, error) {
 	if g.ctx.Err() != nil {
 		return trace.Ref{}, context.Cause(g.ctx)
 	}
 	return g.rd.Next()
+}
+
+// guardedChunkReader is a guardedReader over a trace.ChunkReader.
+type guardedChunkReader struct {
+	*guardedReader
+	cr trace.ChunkReader
+}
+
+// ReadChunk implements trace.ChunkReader.
+func (g *guardedChunkReader) ReadChunk(buf []trace.Ref) ([]trace.Ref, error) {
+	if g.ctx.Err() != nil {
+		return nil, context.Cause(g.ctx)
+	}
+	return g.cr.ReadChunk(buf)
 }
 
 // Manifest is the machine-readable record of a degraded run: which jobs

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -317,5 +318,46 @@ func TestManifestEmptyFailuresArray(t *testing.T) {
 	}
 	if string(raw["failures"]) != "[]" {
 		t.Errorf("failures = %s, want []", raw["failures"])
+	}
+}
+
+// TestGuardForwardsChunks checks that a guarded chunked reader stays
+// chunked, yields its source's stream, and stops with the context's cause
+// at the next chunk once cancelled; a per-reference source keeps its
+// per-reference guard.
+func TestGuardForwardsChunks(t *testing.T) {
+	src := make(trace.Slice, 10_000)
+	for i := range src {
+		src[i] = trace.Ref{CPU: uint8(i % 4), Kind: trace.Read, Addr: uint64(i) * 16}
+	}
+	for _, c := range []int{1, 4095, 4096, len(src) + 1} {
+		ctx, cancel := context.WithCancelCause(context.Background())
+		cr, ok := guard(ctx, trace.NewSliceReader(src)).(trace.ChunkReader)
+		if !ok {
+			t.Fatal("guarded SliceReader is not a ChunkReader")
+		}
+		var got trace.Slice
+		buf := make([]trace.Ref, c)
+		for {
+			refs, err := cr.ReadChunk(buf)
+			got = append(got, refs...)
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !reflect.DeepEqual(got, src) {
+			t.Errorf("chunk %d: guarded ReadChunk differs from the source", c)
+		}
+		cr = guard(ctx, trace.NewSliceReader(src)).(trace.ChunkReader)
+		cancel(ErrStalled)
+		if refs, err := cr.ReadChunk(buf); len(refs) != 0 || !errors.Is(err, ErrStalled) {
+			t.Errorf("chunk %d after cancel: %d references, err %v; want none and ErrStalled", c, len(refs), err)
+		}
+	}
+	if _, ok := guard(context.Background(), &slowReader{}).(trace.ChunkReader); ok {
+		t.Error("guard made a per-reference reader chunked")
 	}
 }

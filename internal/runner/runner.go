@@ -256,7 +256,7 @@ func runAttempt(ctx context.Context, index, attempt int, j Job, opts Options) (r
 		return nil, err
 	}
 	if guarded {
-		rd = &guardedReader{ctx: attemptCtx, rd: rd}
+		rd = guard(attemptCtx, rd)
 	}
 	simOpts := j.Opts
 	if opts.TraceFor != nil {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 
 	"dirsim/internal/bus"
@@ -118,14 +119,31 @@ func OpsFromEvents(scheme string, ev events.Counts) (bus.OpCounts, error) {
 	return out, nil
 }
 
+// ErrNotCheckable is wrapped by VerifyAccounting's error for a result
+// whose operations its events cannot account for: one that replaced
+// sparse-directory entries.
+var ErrNotCheckable = errors.New("accounting not checkable")
+
 // VerifyAccounting checks that the frequency path (events × per-event
-// operations) reproduces the engine's direct operation tally, where the
-// scheme admits a per-event table. It returns nil for schemes that do not.
+// operations, plus one write-back per dirty finite-cache eviction)
+// reproduces the engine's direct operation tally, where the scheme admits
+// a per-event table. It returns nil for schemes that do not. A result
+// with sparse-directory entry replacements (Stats.DirEntryEvictions) is
+// not checkable: each replacement invalidates every copy of the displaced
+// block, a cost no event carries, so VerifyAccounting returns an error
+// wrapping ErrNotCheckable for it rather than passing it.
 func VerifyAccounting(r Result) error {
 	want, err := OpsFromEvents(r.Scheme, r.Stats.Events)
 	if err != nil {
 		return nil // data-dependent scheme; direct tally is authoritative
 	}
+	if r.Stats.DirEntryEvictions > 0 {
+		return fmt.Errorf("sim: %s: %w: %d sparse-directory entry replacements",
+			r.Scheme, ErrNotCheckable, r.Stats.DirEntryEvictions)
+	}
+	// Replacing a dirty block writes it back; the replacement is no
+	// event of its own.
+	want[bus.OpWriteBack] += r.Stats.EvictionWriteBacks
 	if want != r.Stats.Ops {
 		return fmt.Errorf("sim: %s accounting mismatch:\n events-derived %v\n measured       %v",
 			r.Scheme, want, r.Stats.Ops)

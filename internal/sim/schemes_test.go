@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"reflect"
 	"sort"
 	"strings"
@@ -223,23 +224,46 @@ func TestPricingBases(t *testing.T) {
 // TestRunSchemesVerifyAccounting checks all 17 registry results of one
 // RunSchemes over a POPS trace, priced and simulated alike, against the
 // independent per-event operation tables of PerEventOps wherever a scheme
-// has one.
+// has one, on infinite caches and on 16 sets × 2 ways, where dirty
+// evictions write back. Under a sparse directory every tabled directory
+// scheme that replaced an entry is reported not checkable.
 func TestRunSchemesVerifyAccounting(t *testing.T) {
-	gen := must(tracegen.New(tracegen.POPS(60_000)))
-	rs, err := RunSchemes(context.Background(), gen, coherence.EngineNames(), cfg4(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tabled := 0
-	for _, r := range rs {
-		if _, ok := PerEventOps(r.Scheme); ok {
-			tabled++
-		}
-		if err := VerifyAccounting(r); err != nil {
-			t.Error(err)
-		}
-	}
-	if len(rs) != 17 || tabled != 8 {
-		t.Errorf("%d results, %d with a per-event table; want 17 and 8", len(rs), tabled)
+	for _, tc := range []struct {
+		name string
+		cfg  coherence.Config
+	}{
+		{"infinite", cfg4()},
+		{"finite", coherence.Config{Caches: 4, FiniteSets: 16, FiniteWays: 2}},
+		{"sparse", coherence.Config{Caches: 4, DirEntries: 64}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			gen := must(tracegen.New(tracegen.POPS(60_000)))
+			rs, err := RunSchemes(context.Background(), gen, coherence.EngineNames(), tc.cfg, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tabled, unchecked := 0, 0
+			for _, r := range rs {
+				if _, ok := PerEventOps(r.Scheme); ok {
+					tabled++
+				}
+				err := VerifyAccounting(r)
+				switch {
+				case errors.Is(err, ErrNotCheckable):
+					unchecked++
+					if r.Stats.DirEntryEvictions == 0 {
+						t.Errorf("%s: %v without entry replacements", r.Scheme, err)
+					}
+				case err != nil:
+					t.Error(err)
+				}
+			}
+			if len(rs) != 17 || tabled != 8 {
+				t.Errorf("%d results, %d with a per-event table; want 17 and 8", len(rs), tabled)
+			}
+			if want := map[string]int{"sparse": 3}[tc.name]; unchecked != want {
+				t.Errorf("%d results not checkable, want %d", unchecked, want)
+			}
+		})
 	}
 }

@@ -15,7 +15,8 @@
 // goroutines through a fixed pool of recycled batch buffers. Each engine
 // sees the full stream in order either way, so the results are bitwise
 // identical. The one specialisation is a fused decode-and-apply loop for
-// a single id-indexed engine over an in-memory trace with no recorder.
+// a single id-indexed engine over a chunked reader (trace.ChunkReader: an
+// in-memory trace or a generator) with no recorder.
 // Results carry the Table 4 event counts, the bus-operation tallies priced
 // by internal/bus, and the Figure 1 invalidation-fanout histogram.
 //
@@ -231,10 +232,10 @@ type decodedRef struct {
 // reference to that block in the trace, so the old seen-set is gone.
 type decoder struct {
 	rd trace.Reader
-	// sr is non-nil when rd replays an in-memory trace, whose chunks are
-	// handed over without a per-reference interface call; otherwise
-	// scratch receives each chunk through Next.
-	sr      *trace.SliceReader
+	// cr is rd's chunk interface, when it has one: chunks are then handed
+	// over without a per-reference interface call. Otherwise scratch
+	// receives each chunk through Next.
+	cr      trace.ChunkReader
 	scratch []trace.Ref
 	caches  int
 	// cpuFast bounds cacheOf's inline case: the cache count under ByCPU,
@@ -263,10 +264,8 @@ func newDecoder(rd trace.Reader, caches int, opts Options) *decoder {
 	} else {
 		d.cpuFast = caches
 	}
-	d.sr, _ = rd.(*trace.SliceReader)
-	if d.sr == nil {
-		d.scratch = make([]trace.Ref, 0, batchRefs)
-	}
+	d.cr, _ = rd.(trace.ChunkReader)
+	d.scratch = make([]trace.Ref, batchRefs)
 	return d
 }
 
@@ -303,12 +302,8 @@ func (d *decoder) attribute(ref *trace.Ref) (int, error) {
 // is io.EOF (possibly alongside a final partial chunk) when the trace ends,
 // or the reader's own error after the references read before it.
 func (d *decoder) take() ([]trace.Ref, error) {
-	if d.sr != nil {
-		refs := d.sr.Take(batchRefs)
-		if len(refs) < batchRefs {
-			return refs, io.EOF
-		}
-		return refs, nil
+	if d.cr != nil {
+		return d.cr.ReadChunk(d.scratch)
 	}
 	refs := d.scratch[:0]
 	for len(refs) < batchRefs {
@@ -587,7 +582,7 @@ func Run(ctx context.Context, rd trace.Reader, engines []coherence.Engine, opts 
 	slots := bindEngines(engines, d.tab, workers, tr)
 	var total int
 	var err error
-	if tr == nil && d.sr != nil && len(slots) == 1 && slots[0].idx != nil {
+	if tr == nil && d.cr != nil && len(slots) == 1 && slots[0].idx != nil {
 		total, err = runFusedSingle(ctx, d, slots[0].idx, opts)
 	} else {
 		total, err = runBatched(ctx, d, slots, workers, opts, tr)
@@ -754,7 +749,7 @@ func runBatched(ctx context.Context, d *decoder, slots []engineSlot, workers int
 }
 
 // runFusedSingle is the driver specialised for one id-indexed engine over
-// an in-memory trace with no recorder attached: each reference is decoded
+// a chunked reader with no recorder attached: each reference is decoded
 // and applied in the same loop iteration, never materialised into a
 // decodedRef batch, whose store and reload is a measurable slice of the
 // single-scheme per-reference cost (DESIGN.md §9). A chunk is split once

@@ -94,6 +94,20 @@ type Reader interface {
 	Next() (Ref, error)
 }
 
+// ChunkReader is a Reader that can also hand over references a chunk at
+// a time, so a batch consumer pays one call per chunk rather than one per
+// reference.
+type ChunkReader interface {
+	Reader
+	// ReadChunk returns the next references, at most len(buf) of them,
+	// either in buf or in memory the reader owns that stays valid until
+	// its next call. The error is io.EOF once the trace is exhausted,
+	// possibly alongside a final chunk; a chunk returned with nil error
+	// is never empty unless buf is. The references match what Next
+	// would have returned, in order, and the two may be mixed.
+	ReadChunk(buf []Ref) ([]Ref, error)
+}
+
 // Writer consumes references in trace order.
 type Writer interface {
 	Append(Ref) error
@@ -131,16 +145,18 @@ func (r *SliceReader) Next() (Ref, error) {
 // Reset rewinds the reader to the beginning of the trace.
 func (r *SliceReader) Reset() { r.pos = 0 }
 
-// Take returns up to n references starting at the current position and
-// advances past them, letting batch consumers skip the per-reference Next
-// call. It returns an empty slice at end of trace.
-func (r *SliceReader) Take(n int) []Ref {
+// ReadChunk implements ChunkReader without copying: the chunk is a view
+// of the replayed slice, and buf only sizes it.
+func (r *SliceReader) ReadChunk(buf []Ref) ([]Ref, error) {
 	rem := r.refs[r.pos:]
-	if len(rem) > n {
-		rem = rem[:n]
+	if len(rem) > len(buf) {
+		rem = rem[:len(buf)]
 	}
 	r.pos += len(rem)
-	return rem
+	if r.pos == len(r.refs) {
+		return rem, errEOF
+	}
+	return rem, nil
 }
 
 // ReadAll drains rd into a Slice. It is intended for tests and small traces;

@@ -80,6 +80,45 @@ func TestSliceReaderAndReset(t *testing.T) {
 	}
 }
 
+// TestSliceReaderReadChunk checks that ReadChunk hands over Next's
+// stream as views of the replayed slice, at chunk sizes that divide the
+// trace, straddle its end or exceed it, and for an empty trace.
+func TestSliceReaderReadChunk(t *testing.T) {
+	for _, n := range []int{0, 10_000} {
+		src := make(Slice, n)
+		for i := range src {
+			src[i] = Ref{CPU: uint8(i % 4), Kind: Kind(i % 3), Addr: uint64(i) * 16}
+		}
+		for _, c := range []int{1, 2, 3, 4095, 4096, n, n + 1} {
+			if c == 0 {
+				continue
+			}
+			r := NewSliceReader(src)
+			buf := make([]Ref, c)
+			var got Slice
+			for {
+				refs, err := r.ReadChunk(buf)
+				if len(refs) > c || (len(refs) > 0 && &refs[0] != &src[len(got)]) {
+					t.Fatalf("%d refs, chunk %d: chunk of %d is not a view of the trace", n, c, len(refs))
+				}
+				got = append(got, refs...)
+				if err == io.EOF {
+					break
+				}
+				if err != nil || len(refs) == 0 {
+					t.Fatalf("%d refs, chunk %d: %d references then err %v", n, c, len(refs), err)
+				}
+			}
+			if !reflect.DeepEqual(got, src) && len(got)+len(src) > 0 {
+				t.Errorf("%d refs, chunk %d: ReadChunk differs from the trace", n, c)
+			}
+			if _, err := r.Next(); err != io.EOF {
+				t.Errorf("%d refs, chunk %d: Next after the last chunk: %v, want EOF", n, c, err)
+			}
+		}
+	}
+}
+
 func TestSliceWriterCopy(t *testing.T) {
 	src := Slice{{Kind: Read, Addr: 1}, {Kind: Instr, Addr: 2}, {Kind: Write, Addr: 3}}
 	var dst Slice

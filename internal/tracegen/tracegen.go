@@ -20,11 +20,17 @@
 // working-set locality, shared-heap references, and critical sections
 // guarded by test-and-test-and-set spin locks. All randomness is drawn from
 // a seeded source, so a given Config always yields the identical trace.
+//
+// That source is rng.go, a copy of the Go distribution's
+// src/math/rand/rng.go (BSD-licensed; the Go authors' notice is kept in
+// the file) with (*rand.Rand)'s Float64, Intn and Shuffle reproduced over
+// it value for value, so traces are those math/rand generated while each
+// draw inlines instead of calling through the rand.Source interface.
+// TestRNGMatchesMathRand holds the copy to math/rand.
 package tracegen
 
 import (
 	"fmt"
-	"math/rand"
 
 	"dirsim/internal/trace"
 )
@@ -269,9 +275,9 @@ type proc struct {
 	pid  uint16
 	cpu  int
 	code uint64 // next instruction address
-
-	privateHot, privateCold []uint64
-	sharedHot, sharedCold   []uint64
+	// private is the address of the first block of the process's private
+	// pool, whose blocks are consecutive.
+	private uint64
 
 	wantLock int // lock being waited for, -1 if none
 	// atBarrier marks a process waiting at the global barrier;
@@ -283,11 +289,18 @@ type proc struct {
 }
 
 // Generator produces the reference stream for a Config. It implements
-// trace.Reader, generating lazily one scheduling turn at a time.
+// trace.ChunkReader, generating lazily one scheduling turn at a time.
 type Generator struct {
 	cfg   Config
-	rng   *rand.Rand
+	rng   *rngSource
 	procs []*proc
+	// shared is the shared heap in shuffled order; its first sharedHot
+	// blocks are the hot set every process shares. Private pools are
+	// unshuffled, so a private pick is index arithmetic; privateHot is
+	// the size of each one's hot set.
+	shared     []uint64
+	sharedHot  int
+	privateHot int
 	// runq[cpu] lists indices into procs currently scheduled on cpu.
 	runq    [][]int
 	rrCPU   int   // next CPU to schedule
@@ -301,9 +314,15 @@ type Generator struct {
 	barrierGen   uint64
 	arrived      int
 
+	// out receives the references a turn emits: a view of the caller's
+	// chunk with room for a whole turn, or spill otherwise.
+	out []trace.Ref
+	// spill receives every turn Next runs and each turn a chunk has no
+	// room for; pending is the part of the last one not yet handed out.
+	spill, pending []trace.Ref
+	// maxTurn bounds the references one turn emits (see fillTurn).
+	maxTurn int
 	emitted int
-	buf     []trace.Ref
-	bufPos  int
 }
 
 // New returns a Generator for cfg, or an error if cfg is invalid.
@@ -311,36 +330,40 @@ func New(cfg Config) (*Generator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	// A turn's loop advances its slot counter by at most 2 per
+	// iteration and ends at most one slot past Quantum, emitting at most
+	// 3 references per 2 slots (a barrier arrival that releases).
+	maxTurn := 2*cfg.Quantum + 2
 	g := &Generator{
-		cfg:    cfg,
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
-		runq:   make([][]int, cfg.CPUs),
-		rrSlot: make([]int, cfg.CPUs),
+		cfg:     cfg,
+		rng:     newRNG(cfg.Seed),
+		runq:    make([][]int, cfg.CPUs),
+		rrSlot:  make([]int, cfg.CPUs),
+		spill:   make([]trace.Ref, 0, maxTurn),
+		maxTurn: maxTurn,
 	}
 	// Partition each pool into a hot working set and a cold remainder.
-	sharedAddrs := poolAddrs(regionShared, cfg.SharedBlocks)
-	g.rng.Shuffle(len(sharedAddrs), func(i, j int) {
-		sharedAddrs[i], sharedAddrs[j] = sharedAddrs[j], sharedAddrs[i]
+	// All processes share one hot set so that read sharing actually
+	// occurs; cold shared references are the tail.
+	g.shared = make([]uint64, cfg.SharedBlocks)
+	for i := range g.shared {
+		g.shared[i] = regionShared + uint64(i)*trace.DefaultBlockBytes
+	}
+	g.rng.Shuffle(len(g.shared), func(i, j int) {
+		g.shared[i], g.shared[j] = g.shared[j], g.shared[i]
 	})
-	hotShared := splitIdx(len(sharedAddrs), cfg.HotFrac)
+	g.sharedHot = splitIdx(cfg.SharedBlocks, cfg.HotFrac)
+	g.privateHot = splitIdx(cfg.PrivateBlocks, cfg.HotFrac)
 	pid := uint16(1)
 	for cpu := 0; cpu < cfg.CPUs; cpu++ {
 		for s := 0; s < cfg.ProcsPerCPU; s++ {
-			base := regionPrivate + uint64(pid)*perProcStride
-			priv := poolAddrs(base, cfg.PrivateBlocks)
-			hotPriv := splitIdx(len(priv), cfg.HotFrac)
 			p := &proc{
-				pid:         pid,
-				cpu:         cpu,
-				code:        regionCode + uint64(pid)*perProcStride,
-				privateHot:  priv[:hotPriv],
-				privateCold: priv[hotPriv:],
-				// All processes share one hot set so that read sharing
-				// actually occurs; cold shared references are the tail.
-				sharedHot:  sharedAddrs[:hotShared],
-				sharedCold: sharedAddrs[hotShared:],
-				wantLock:   -1,
-				holdLock:   -1,
+				pid:      pid,
+				cpu:      cpu,
+				code:     regionCode + uint64(pid)*perProcStride,
+				private:  regionPrivate + uint64(pid)*perProcStride,
+				wantLock: -1,
+				holdLock: -1,
 			}
 			g.procs = append(g.procs, p)
 			g.runq[cpu] = append(g.runq[cpu], len(g.procs)-1)
@@ -354,14 +377,6 @@ func New(cfg Config) (*Generator, error) {
 		g.holder[i] = -1
 	}
 	return g, nil
-}
-
-func poolAddrs(base uint64, blocks int) []uint64 {
-	out := make([]uint64, blocks)
-	for i := range out {
-		out[i] = base + uint64(i)*trace.DefaultBlockBytes
-	}
-	return out
 }
 
 func splitIdx(n int, frac float64) int {
@@ -380,20 +395,60 @@ func (g *Generator) Next() (trace.Ref, error) {
 	if g.emitted >= g.cfg.Refs {
 		return trace.Ref{}, errEOF
 	}
-	for g.bufPos >= len(g.buf) {
-		g.fillTurn()
+	for len(g.pending) == 0 {
+		g.spillTurn()
 	}
-	r := g.buf[g.bufPos]
-	g.bufPos++
+	r := g.pending[0]
+	g.pending = g.pending[1:]
 	g.emitted++
 	return r, nil
 }
 
+// ReadChunk implements trace.ChunkReader. While the chunk has room for a
+// whole turn, turns emit straight into it; the turn that would not fit
+// runs into the spill buffer, and what does not fit stays pending for the
+// next call.
+func (g *Generator) ReadChunk(buf []trace.Ref) ([]trace.Ref, error) {
+	if rem := g.cfg.Refs - g.emitted; len(buf) > rem {
+		buf = buf[:rem]
+	}
+	n := copy(buf, g.pending)
+	g.pending = g.pending[n:]
+	for n < len(buf) {
+		room := len(buf) - n
+		if room < g.maxTurn {
+			g.spillTurn()
+			k := copy(buf[n:], g.pending)
+			g.pending = g.pending[k:]
+			n += k
+			continue
+		}
+		g.out = buf[n:n:len(buf)]
+		g.fillTurn()
+		if len(g.out) > room {
+			// append outgrew the chunk, so the turn is not in buf.
+			panic("tracegen: turn longer than maxTurn")
+		}
+		n += len(g.out)
+	}
+	g.emitted += n
+	if g.emitted >= g.cfg.Refs {
+		return buf[:n], errEOF
+	}
+	return buf[:n], nil
+}
+
+// spillTurn runs one turn into the spill buffer and makes it pending.
+func (g *Generator) spillTurn() {
+	g.out = g.spill[:0]
+	g.fillTurn()
+	g.spill = g.out
+	g.pending = g.out
+}
+
 // fillTurn runs one scheduling turn: the next CPU's current process issues
-// up to Quantum references into the buffer.
+// up to Quantum references (at most maxTurn) into out.
 func (g *Generator) fillTurn() {
-	g.buf = g.buf[:0]
-	g.bufPos = 0
 	// Find a CPU with runnable processes (all CPUs have some unless
 	// migration empties one; then skip it).
 	for tries := 0; tries < g.cfg.CPUs; tries++ {
@@ -412,7 +467,7 @@ func (g *Generator) fillTurn() {
 	}
 	// All run queues empty cannot happen (processes never exit), but fill
 	// with idle instruction fetches for robustness.
-	g.buf = append(g.buf, trace.Ref{Kind: trace.Instr, Addr: regionKernel})
+	g.out = append(g.out, trace.Ref{Kind: trace.Instr, Addr: regionKernel})
 }
 
 // maybeMigrate moves process pi to a random other CPU with probability
@@ -556,7 +611,7 @@ func (g *Generator) runProc(pi int) {
 		kind := trace.Read
 		switch r := g.rng.Float64(); {
 		case r < g.cfg.SharedFrac:
-			addr = g.pick(p.sharedHot, p.sharedCold)
+			addr = g.shared[g.pick(g.sharedHot, len(g.shared))]
 			wf := g.cfg.SharedWriteFrac
 			if wf <= 0 {
 				wf = g.cfg.WriteFrac
@@ -577,7 +632,7 @@ func (g *Generator) runProc(pi int) {
 				addr = g.pairedAddr(g.neighbour(int(p.pid)))
 			}
 		default:
-			addr = g.pick(p.privateHot, p.privateCold)
+			addr = p.private + uint64(g.pick(g.privateHot, g.cfg.PrivateBlocks))*trace.DefaultBlockBytes
 			if g.rng.Float64() < g.cfg.WriteFrac {
 				kind = trace.Write
 			}
@@ -599,25 +654,32 @@ func (g *Generator) neighbour(pid int) int {
 	return (pid % n) + 1
 }
 
-// pick selects an address with working-set locality.
-func (g *Generator) pick(hot, cold []uint64) uint64 {
-	if len(cold) == 0 || g.rng.Float64() < g.cfg.HotBias {
-		return hot[g.rng.Intn(len(hot))]
+// pick draws an index into a pool of n blocks with working-set locality:
+// the first hot indices are the hot set, the rest the cold remainder.
+func (g *Generator) pick(hot, n int) int {
+	if n == hot || g.rng.Float64() < g.cfg.HotBias {
+		return g.rng.Intn(hot)
 	}
-	return cold[g.rng.Intn(len(cold))]
+	return hot + g.rng.Intn(n-hot)
 }
 
 func (g *Generator) emit(p *proc, r trace.Ref) {
 	r.CPU = uint8(p.cpu)
 	r.PID = p.pid
-	g.buf = append(g.buf, r)
+	g.out = append(g.out, r)
 }
 
-// Generate produces the full trace for cfg in memory.
+// Generate produces the full trace for cfg in memory, in one allocation
+// of cfg.Refs references filled through ReadChunk.
 func Generate(cfg Config) (trace.Slice, error) {
 	g, err := New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return trace.ReadAll(g)
+	if cfg.Refs == 0 {
+		return nil, nil
+	}
+	// A chunk of cfg.Refs holds the whole trace; its error is io.EOF.
+	refs, _ := g.ReadChunk(make(trace.Slice, cfg.Refs))
+	return refs, nil
 }
