@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: fmt build test perfbench-test race lint lint-sarif mc check fuzz bench bench-json bench-regress fault-smoke serve serve-smoke trace-smoke promscrape-smoke soak-smoke cluster-smoke
+.PHONY: fmt build test perfbench-test race lint lint-sarif mc check fuzz bench bench-json bench-regress paper-smoke fault-smoke serve serve-smoke trace-smoke promscrape-smoke soak-smoke cluster-smoke
 
 # Fails listing every file gofmt would change; CI's check job runs this
 # same target.
@@ -54,6 +54,16 @@ check: fmt build lint test perfbench-test race mc
 # `go test`; this explores further).
 fuzz:
 	$(GO) test ./internal/coherence/ -run FuzzNewByName -fuzz FuzzNewByName -fuzztime 30s
+
+# Paper reproduction drill (same scenario CI runs): every table and
+# figure cmd/paper prints must match the committed paper_output.txt byte
+# for byte, so a refactor that changes any result fails here. The output
+# goes to a file first so that cmd/paper's own exit status counts too.
+paper-smoke:
+	rm -rf paper-smoke.tmp && mkdir paper-smoke.tmp
+	$(GO) run ./cmd/paper > paper-smoke.tmp/out.txt
+	diff -u paper_output.txt paper-smoke.tmp/out.txt
+	rm -rf paper-smoke.tmp
 
 # End-to-end resilience drill (same scenario CI runs): a sweep with an
 # injected panic, a truncated trace and transient faults on every job

@@ -310,9 +310,15 @@ func RunSchemesContext(ctx context.Context, rd TraceReader, names []string, cfg 
 func CombineResults(results []Result) (Result, error) { return sim.Combine(results) }
 
 // VerifyAccounting cross-checks the event-frequency methodology against
-// the direct operation tally for fixed-cost schemes. A run that replaced
-// sparse-directory entries is not checkable; the error then wraps
-// ErrAccountingNotCheckable.
+// the direct operation tally for fixed-cost schemes (Dir1NB, Dir0B,
+// Berkeley, WTI, Write-Once, MESI, Dragon and Firefly): the result's
+// events priced by the scheme's per-event cost table, plus its eviction
+// write-backs, must equal its operations. That table is the one the
+// snoopy invalidation engines emit from and pricing reads; the directory
+// and update engines emit their operations directly, so for them it is
+// checked against a second statement of the costs. It returns nil for
+// other schemes. A run that replaced sparse-directory entries is not
+// checkable; the error then wraps ErrAccountingNotCheckable.
 func VerifyAccounting(r Result) error { return sim.VerifyAccounting(r) }
 
 // ErrAccountingNotCheckable is wrapped by VerifyAccounting's error for a

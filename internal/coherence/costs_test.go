@@ -1,29 +1,18 @@
-package sim
+package coherence
 
 import (
-	"errors"
-	"fmt"
+	"testing"
 
 	"dirsim/internal/bus"
 	"dirsim/internal/events"
 )
 
-// PerEventOps returns, for schemes whose bus operations are a fixed
-// function of the event type, the operations one occurrence of each event
-// implies. This is the paper's Section 4.1 methodology in executable form:
-// event frequencies are measured once, then "weighted by their respective
-// costs in bus cycles" for any hardware model.
-//
-// It is defined for Dir1NB, Dir0B, Berkeley, WTI, Dragon, Firefly, MESI
-// and Write-Once, transcribed independently of the engines so that
-// VerifyAccounting cross-checks them, priced results included. Schemes
-// whose invalidation counts depend on the sharer count have no per-event
-// table: Dir_nNB sends one message per sharer, and Dir_iB directs or
-// broadcasts by the sharer count. Dir_iB's operations are a function of
-// the fan-out split by event (coherence.Price computes them that way);
-// the coded set's also depend on which caches share. For these the
-// engine's direct operation tally is authoritative here.
-func PerEventOps(scheme string) (map[events.Type]bus.OpCounts, bool) {
+// paperOps is the independent oracle for the per-event tables of
+// costs.go: for each scheme whose bus operations are a fixed function of
+// the event type, the operations one occurrence of each event implies,
+// transcribed from the paper's Tables 1–2 and protocol descriptions
+// rather than from the engines.
+func paperOps(scheme string) (map[events.Type]bus.OpCounts, bool) {
 	mk := func(ops ...bus.Op) bus.OpCounts {
 		var c bus.OpCounts
 		for _, op := range ops {
@@ -95,58 +84,42 @@ func PerEventOps(scheme string) (map[events.Type]bus.OpCounts, bool) {
 			events.WriteMissDirty:      mk(bus.OpWriteBack, bus.OpWriteThrough),
 			events.WriteMissUncached:   mk(bus.OpMemRead, bus.OpWriteThrough),
 		}, true
-	default:
-		return nil, false
 	}
+	return nil, false
 }
 
-// OpsFromEvents reconstructs the bus-operation tally of a run from its
-// event counts using the per-event table. For the schemes PerEventOps
-// covers, this must equal the engine's directly measured Stats.Ops — the
-// property tests assert it, validating both accounting paths.
-func OpsFromEvents(scheme string, ev events.Counts) (bus.OpCounts, error) {
-	table, ok := PerEventOps(scheme)
-	if !ok {
-		return bus.OpCounts{}, fmt.Errorf("sim: scheme %s has data-dependent operation counts", scheme)
-	}
-	var out bus.OpCounts
-	for ty, ops := range table {
-		n := ev[ty]
-		for op, k := range ops {
-			out[op] += k * n
+// TestEventOpsMatchPaperTables compares every registry scheme's per-event
+// table with the oracle entry by entry, across every event type, so
+// events no generated trace triggers are checked too; a scheme without
+// an oracle table must have no table either.
+func TestEventOpsMatchPaperTables(t *testing.T) {
+	tabled := 0
+	for _, name := range EngineNames() {
+		scheme, err := SchemeName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, ok := paperOps(scheme)
+		got := eventOps(scheme)
+		if ok != (got != nil) {
+			t.Errorf("%s: has a table %v, oracle has one %v", scheme, got != nil, ok)
+			continue
+		}
+		if !ok {
+			continue
+		}
+		tabled++
+		for i := range got {
+			var g bus.OpCounts
+			for _, op := range got[i] {
+				g.Inc(op)
+			}
+			if ty := events.Type(i); g != want[ty] {
+				t.Errorf("%s %s: table %v, oracle %v", scheme, ty, g, want[ty])
+			}
 		}
 	}
-	return out, nil
-}
-
-// ErrNotCheckable is wrapped by VerifyAccounting's error for a result
-// whose operations its events cannot account for: one that replaced
-// sparse-directory entries.
-var ErrNotCheckable = errors.New("accounting not checkable")
-
-// VerifyAccounting checks that the frequency path (events × per-event
-// operations, plus one write-back per dirty finite-cache eviction)
-// reproduces the engine's direct operation tally, where the scheme admits
-// a per-event table. It returns nil for schemes that do not. A result
-// with sparse-directory entry replacements (Stats.DirEntryEvictions) is
-// not checkable: each replacement invalidates every copy of the displaced
-// block, a cost no event carries, so VerifyAccounting returns an error
-// wrapping ErrNotCheckable for it rather than passing it.
-func VerifyAccounting(r Result) error {
-	want, err := OpsFromEvents(r.Scheme, r.Stats.Events)
-	if err != nil {
-		return nil // data-dependent scheme; direct tally is authoritative
+	if tabled != 8 {
+		t.Errorf("%d registry schemes with a table, want 8", tabled)
 	}
-	if r.Stats.DirEntryEvictions > 0 {
-		return fmt.Errorf("sim: %s: %w: %d sparse-directory entry replacements",
-			r.Scheme, ErrNotCheckable, r.Stats.DirEntryEvictions)
-	}
-	// Replacing a dirty block writes it back; the replacement is no
-	// event of its own.
-	want[bus.OpWriteBack] += r.Stats.EvictionWriteBacks
-	if want != r.Stats.Ops {
-		return fmt.Errorf("sim: %s accounting mismatch:\n events-derived %v\n measured       %v",
-			r.Scheme, want, r.Stats.Ops)
-	}
-	return nil
 }

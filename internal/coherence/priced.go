@@ -192,21 +192,6 @@ func (e *DirEngine) scaleDirAccesses(b *Stats) *Stats {
 	return s
 }
 
-// dirEventOps lists the operations a directory engine that never evicts a
-// copy emits for one event, its invalidations aside; request is the
-// owner's write-back request, directed or broadcast.
-func dirEventOps(t events.Type, request bus.Op) []bus.Op {
-	switch t {
-	case events.ReadMissDirty, events.WriteMissDirty:
-		return []bus.Op{bus.OpDirCheckOverlapped, request, bus.OpWriteBack}
-	case events.ReadMissClean, events.ReadMissUncached, events.WriteMissClean, events.WriteMissUncached:
-		return []bus.Op{bus.OpDirCheckOverlapped, bus.OpMemRead}
-	case events.WriteHitCleanSole, events.WriteHitCleanShared:
-		return []bus.Op{bus.OpDirCheck}
-	}
-	return nil
-}
-
 // priceBroadcast prices e, which broadcasts an invalidation when more than
 // i caches hold the block, from the run of b, a directory engine that
 // never evicts a copy. References, events, transactions, fan-out,

@@ -31,33 +31,24 @@ import (
 //     invalidation cycle.
 type SnoopyInval struct {
 	engineCore
-	// table lists, for each event, the bus operations one occurrence
-	// costs. classify reads it on every reference and price reads it to
-	// cost a basis's event tallies, so it is the one statement of the
-	// protocol's per-event costs.
-	table [events.NumTypes][]bus.Op
+	// table is the scheme's per-event operations, one of the tables in
+	// costs.go: classify reads it on every reference and price reads it
+	// to cost a basis's event tallies.
+	table opTable
 	// writeBackOnEvict controls finite-cache behaviour: copy-back
 	// protocols flush dirty victims; write-through protocols evict
 	// silently (memory is already current).
 	writeBackOnEvict bool
 }
 
-// NewSnoopyInval assembles a snoopy invalidation engine from a per-event
-// operation table, which must be keyed by event types only. Most callers
-// want NewWTI, NewWriteOnce or NewMESI.
-func NewSnoopyInval(name string, table map[events.Type][]bus.Op, writeBackOnEvict bool, cfg Config) (*SnoopyInval, error) {
+// newSnoopyInval assembles a snoopy invalidation engine around its
+// per-event operation table.
+func newSnoopyInval(name string, table opTable, writeBackOnEvict bool, cfg Config) (*SnoopyInval, error) {
 	core, err := newCore(name, cfg)
 	if err != nil {
 		return nil, err
 	}
-	e := &SnoopyInval{engineCore: core, writeBackOnEvict: writeBackOnEvict}
-	for t, ops := range table {
-		if int(t) >= events.NumTypes {
-			return nil, fmt.Errorf("coherence: %s: unknown event type %d in the operation table", name, t)
-		}
-		e.table[t] = ops
-	}
-	return e, nil
+	return &SnoopyInval{engineCore: core, table: table, writeBackOnEvict: writeBackOnEvict}, nil
 }
 
 // NewWTI returns the Write-Through-With-Invalidate engine: all writes go to
@@ -67,18 +58,7 @@ func NewSnoopyInval(name string, table map[events.Type][]bus.Op, writeBackOnEvic
 // the Table 4 event frequencies — identical to Dir0B's, as Section 5
 // observes.
 func NewWTI(cfg Config) (*SnoopyInval, error) {
-	t := map[events.Type][]bus.Op{
-		events.ReadMissClean:       {bus.OpMemRead},
-		events.ReadMissDirty:       {bus.OpMemRead},
-		events.ReadMissUncached:    {bus.OpMemRead},
-		events.WriteHitDirty:       {bus.OpWriteThrough},
-		events.WriteHitCleanSole:   {bus.OpWriteThrough},
-		events.WriteHitCleanShared: {bus.OpWriteThrough},
-		events.WriteMissClean:      {bus.OpMemRead, bus.OpWriteThrough},
-		events.WriteMissDirty:      {bus.OpMemRead, bus.OpWriteThrough},
-		events.WriteMissUncached:   {bus.OpMemRead, bus.OpWriteThrough},
-	}
-	return NewSnoopyInval("WTI", t, false, cfg)
+	return newSnoopyInval("WTI", wtiOps, false, cfg)
 }
 
 // NewWriteOnce returns Goodman's write-once protocol: the first write to a
@@ -86,19 +66,7 @@ func NewWTI(cfg Config) (*SnoopyInval, error) {
 // copies); later writes dirty the block locally for free; a block dirty in
 // another cache is supplied by write-back.
 func NewWriteOnce(cfg Config) (*SnoopyInval, error) {
-	t := map[events.Type][]bus.Op{
-		events.ReadMissClean:       {bus.OpMemRead},
-		events.ReadMissDirty:       {bus.OpWriteBack},
-		events.ReadMissUncached:    {bus.OpMemRead},
-		events.WriteHitCleanSole:   {bus.OpWriteThrough},
-		events.WriteHitCleanShared: {bus.OpWriteThrough},
-		// Reserved → Dirty is a local transition.
-		events.WriteHitDirty:     nil,
-		events.WriteMissClean:    {bus.OpMemRead, bus.OpWriteThrough},
-		events.WriteMissDirty:    {bus.OpWriteBack, bus.OpWriteThrough},
-		events.WriteMissUncached: {bus.OpMemRead, bus.OpWriteThrough},
-	}
-	return NewSnoopyInval("WriteOnce", t, true, cfg)
+	return newSnoopyInval("WriteOnce", writeOnceOps, true, cfg)
 }
 
 // NewMESI returns the Illinois protocol: resident blocks are supplied
@@ -106,21 +74,7 @@ func NewWriteOnce(cfg Config) (*SnoopyInval, error) {
 // state makes writes to sole clean copies free, and writes to Shared
 // copies cost one broadcast invalidation cycle.
 func NewMESI(cfg Config) (*SnoopyInval, error) {
-	t := map[events.Type][]bus.Op{
-		events.ReadMissClean:    {bus.OpCacheRead},
-		events.ReadMissDirty:    {bus.OpWriteBack},
-		events.ReadMissUncached: {bus.OpMemRead},
-		// M and E write hits are silent.
-		events.WriteHitDirty:     nil,
-		events.WriteHitCleanSole: nil,
-		// S write hit: broadcast the invalidation on the bus.
-		events.WriteHitCleanShared: {bus.OpBroadcastInvalidate},
-		// Read-for-ownership: the fetch broadcast invalidates as it goes.
-		events.WriteMissClean:    {bus.OpCacheRead},
-		events.WriteMissDirty:    {bus.OpWriteBack},
-		events.WriteMissUncached: {bus.OpMemRead},
-	}
-	return NewSnoopyInval("MESI", t, true, cfg)
+	return newSnoopyInval("MESI", mesiOps, true, cfg)
 }
 
 // classify records the reference's Table 4 classification and emits its

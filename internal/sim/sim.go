@@ -206,6 +206,19 @@ func (r Result) DirToMemBandwidthRatio() float64 {
 	return float64(r.Stats.DirAccesses) / float64(r.Stats.MemAccesses)
 }
 
+// ErrNotCheckable is wrapped by VerifyAccounting's error for a result
+// whose operations its events cannot account for: one that replaced
+// sparse-directory entries.
+var ErrNotCheckable = coherence.ErrNotCheckable
+
+// VerifyAccounting checks that the frequency path (events × the scheme's
+// per-event operations, plus one write-back per dirty finite-cache
+// eviction) reproduces the engine's direct operation tally, where the
+// scheme has a per-event table (coherence.VerifyAccounting). It returns
+// nil for schemes that do not. A result with sparse-directory entry
+// replacements is not checkable; the error then wraps ErrNotCheckable.
+func VerifyAccounting(r Result) error { return coherence.VerifyAccounting(r.Scheme, r.Stats) }
+
 // batchRefs is the decode granularity: cancellation checks, progress
 // callbacks and the parallel fan-out all operate on batches of this many
 // references, so a cancelled run returns within one batch.
@@ -233,9 +246,12 @@ type decodedRef struct {
 type decoder struct {
 	rd trace.Reader
 	// cr is rd's chunk interface, when it has one: chunks are then handed
-	// over without a per-reference interface call. Otherwise scratch
-	// receives each chunk through Next.
+	// over without a per-reference interface call. view is rd when it is
+	// a SliceReader, whose chunks are views of its own slice. Otherwise
+	// scratch receives each chunk, through ReadChunk or Next; it is nil
+	// for a view.
 	cr      trace.ChunkReader
+	view    *trace.SliceReader
 	scratch []trace.Ref
 	caches  int
 	// cpuFast bounds cacheOf's inline case: the cache count under ByCPU,
@@ -265,7 +281,9 @@ func newDecoder(rd trace.Reader, caches int, opts Options) *decoder {
 		d.cpuFast = caches
 	}
 	d.cr, _ = rd.(trace.ChunkReader)
-	d.scratch = make([]trace.Ref, batchRefs)
+	if d.view, _ = rd.(*trace.SliceReader); d.view == nil {
+		d.scratch = make([]trace.Ref, batchRefs)
+	}
 	return d
 }
 
@@ -302,6 +320,9 @@ func (d *decoder) attribute(ref *trace.Ref) (int, error) {
 // is io.EOF (possibly alongside a final partial chunk) when the trace ends,
 // or the reader's own error after the references read before it.
 func (d *decoder) take() ([]trace.Ref, error) {
+	if d.view != nil {
+		return d.view.View(batchRefs)
+	}
 	if d.cr != nil {
 		return d.cr.ReadChunk(d.scratch)
 	}

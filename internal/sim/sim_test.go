@@ -217,21 +217,6 @@ func TestAccountingPathsAgreeOnGeneratedTraces(t *testing.T) {
 	}
 }
 
-func TestOpsFromEventsUnknownScheme(t *testing.T) {
-	if _, err := OpsFromEvents("DirnNB", events.Counts{}); err == nil {
-		t.Error("data-dependent scheme accepted")
-	}
-	var ev events.Counts
-	ev.Inc(events.ReadMissClean)
-	ops, err := OpsFromEvents("Dir1NB", ev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ops[bus.OpMemRead] != 1 || ops[bus.OpInvalidate] != 1 {
-		t.Errorf("ops = %v", ops)
-	}
-}
-
 func TestVerifyAccountingSkipsDataDependent(t *testing.T) {
 	rs, err := Run(context.Background(), trace.NewSliceReader(smallTrace()),
 		[]coherence.Engine{must(coherence.NewDirnNB(cfg4()))}, Options{})

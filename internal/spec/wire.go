@@ -2,6 +2,7 @@ package spec
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 
 	"dirsim/internal/coherence"
@@ -56,8 +57,13 @@ type CellDoc struct {
 // peer cannot pass off results for different work. It must carry one
 // result per scheme the spec names, in spec order, each under the name
 // the engine for that scheme reports, with Stats whose events partition
-// its references. The counts themselves are not re-derived: a peer that
-// forges Stats satisfying these checks goes undetected.
+// its references. Where the scheme has a per-event cost table, its
+// operations must equal its events priced by that table plus its
+// eviction write-backs (coherence.VerifyAccounting). That check is
+// skipped only for Stats with sparse-directory entry replacements, which
+// a cell without a sparse directory (Machine.DirEntries 0) must not
+// report. The other counts are not re-derived: a peer that forges Stats
+// satisfying these checks goes undetected.
 func VerifyCellDoc(hash string, data []byte) error {
 	if err := CheckDocVersion(data); err != nil {
 		return err
@@ -97,6 +103,12 @@ func VerifyCellDoc(hash string, data []byte) error {
 		case r.Stats.Events.Total() != r.Stats.Refs:
 			return fmt.Errorf("spec: cell document result %d (%s): events total %d for %d refs",
 				i, r.Scheme, r.Stats.Events.Total(), r.Stats.Refs)
+		case c.Machine.DirEntries == 0 && r.Stats.DirEntryEvictions > 0:
+			return fmt.Errorf("spec: cell document result %d (%s): %d directory entry replacements without a sparse directory",
+				i, r.Scheme, r.Stats.DirEntryEvictions)
+		}
+		if err := coherence.VerifyAccounting(r.Scheme, r.Stats); err != nil && !errors.Is(err, coherence.ErrNotCheckable) {
+			return fmt.Errorf("spec: cell document result %d: %w", i, err)
 		}
 	}
 	return nil

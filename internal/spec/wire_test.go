@@ -1,19 +1,22 @@
 package spec
 
 import (
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
 
+	"dirsim/internal/bus"
 	"dirsim/internal/coherence"
 	"dirsim/internal/events"
+	"dirsim/internal/sim"
 	"dirsim/internal/tracegen"
 )
 
 // cellDocFor fabricates a cell document for the cell, with one result
 // per scheme under its engine's name and Stats holding one instruction
-// fetch (verification checks shape, address and the events partition,
-// not physics).
+// fetch, which partitions the references and costs no operation under
+// any per-event table.
 func cellDocFor(t *testing.T, c Cell) (hash string, data []byte) {
 	t.Helper()
 	canon, err := c.Canonical()
@@ -57,6 +60,77 @@ func TestVerifyCellDocAccepts(t *testing.T) {
 	if err := VerifyCellDoc(hash, data); err != nil {
 		t.Fatalf("valid document rejected: %v", err)
 	}
+}
+
+// TestVerifyCellDocAcceptsSimulated runs every registry scheme through
+// the cell executor's path on infinite, finite, sparse, warm-up and
+// first-reference-cost machines and requires each honest document to
+// pass, the per-event accounting identity included.
+func TestVerifyCellDocAcceptsSimulated(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		machine coherence.Config
+		sim     Sim
+	}{
+		{"infinite", coherence.Config{Caches: 4}, Sim{}},
+		{"finite", coherence.Config{Caches: 4, FiniteSets: 16, FiniteWays: 2}, Sim{}},
+		{"sparse", coherence.Config{Caches: 4, DirEntries: 64}, Sim{}},
+		{"warm-up", coherence.Config{Caches: 4, FiniteSets: 16, FiniteWays: 2}, Sim{WarmupRefs: 5_000}},
+		{"first-ref cost", coherence.Config{Caches: 4}, Sim{IncludeFirstRefCosts: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := tracegen.POPS(20_000)
+			tr.CPUs = 4
+			c := Cell{Trace: tr, Schemes: coherence.EngineNames(), Machine: tc.machine, Sim: tc.sim}
+			hash, data, rs := simulatedCellDoc(t, c)
+			if err := VerifyCellDoc(hash, data); err != nil {
+				t.Fatalf("honest document rejected: %v", err)
+			}
+			replaced := false
+			for _, r := range rs {
+				replaced = replaced || r.Stats.DirEntryEvictions > 0
+			}
+			if replaced != (tc.machine.DirEntries > 0) {
+				t.Errorf("entry replacements %v with DirEntries %d", replaced, tc.machine.DirEntries)
+			}
+		})
+	}
+}
+
+// simulatedCellDoc simulates the cell as the daemon does and returns its
+// content address, its document and its results.
+func simulatedCellDoc(t *testing.T, c Cell) (hash string, data []byte, rs []SchemeResult) {
+	t.Helper()
+	job, err := c.Job()
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := job.Source()
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := sim.RunSchemes(context.Background(), src, job.Schemes, job.Config, job.Opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range results {
+		rs = append(rs, SchemeResult{Scheme: r.Scheme, Stats: r.Stats})
+	}
+	canon, err := c.Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hash, err = c.Hash(); err != nil {
+		t.Fatal(err)
+	}
+	rb, err := json.Marshal(rs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if data, err = json.Marshal(CellDoc{SpecVersion: CurrentVersion, Spec: canon, Results: rb}); err != nil {
+		t.Fatal(err)
+	}
+	return hash, data, rs
 }
 
 // A peer cannot substitute results for different work: a document whose
@@ -123,8 +197,10 @@ func TestVerifyCellDocResultCountMismatch(t *testing.T) {
 
 // Each forged result list is rejected: one result too many,
 // results out of spec order, a scheme the spec does not name, a name in
-// the spec's spelling rather than the engine's, missing Stats, and events
-// that do not partition the references.
+// the spec's spelling rather than the engine's, missing Stats, events
+// that do not partition the references, operations their events and a
+// scheme's per-event table do not account for, and entry replacements
+// claimed on a cell without a sparse directory.
 func TestVerifyCellDocRejectsForgedResults(t *testing.T) {
 	c := verifyTestCell(t)
 	hash, data := cellDocFor(t, c)
@@ -172,6 +248,21 @@ func TestVerifyCellDocRejectsForgedResults(t *testing.T) {
 		})},
 		{"broken partition", "events total", forge(func(rs []SchemeResult) []SchemeResult {
 			rs[1].Stats.Events.Inc(events.ReadHit)
+			return rs
+		})},
+		{"forged Dir0B ops", "accounting mismatch", forge(func(rs []SchemeResult) []SchemeResult {
+			rs[0].Stats.Ops[bus.OpBroadcastInvalidate]++
+			return rs
+		})},
+		{"forged WTI ops", "accounting mismatch", forge(func(rs []SchemeResult) []SchemeResult {
+			rs[1].Stats.Ops[bus.OpWriteThrough]++
+			return rs
+		})},
+		// Claiming entry replacements would make the forged operations
+		// not checkable, but the cell has no sparse directory.
+		{"forged entry replacements", "without a sparse directory", forge(func(rs []SchemeResult) []SchemeResult {
+			rs[0].Stats.DirEntryEvictions = 1
+			rs[0].Stats.Ops[bus.OpBroadcastInvalidate]++
 			return rs
 		})},
 	} {

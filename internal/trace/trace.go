@@ -147,10 +147,15 @@ func (r *SliceReader) Reset() { r.pos = 0 }
 
 // ReadChunk implements ChunkReader without copying: the chunk is a view
 // of the replayed slice, and buf only sizes it.
-func (r *SliceReader) ReadChunk(buf []Ref) ([]Ref, error) {
+func (r *SliceReader) ReadChunk(buf []Ref) ([]Ref, error) { return r.View(len(buf)) }
+
+// View returns the next at most n references as a view of the replayed
+// slice, with ReadChunk's errors, so a caller needs no buffer to bound
+// the chunk.
+func (r *SliceReader) View(n int) ([]Ref, error) {
 	rem := r.refs[r.pos:]
-	if len(rem) > len(buf) {
-		rem = rem[:len(buf)]
+	if len(rem) > n {
+		rem = rem[:n]
 	}
 	r.pos += len(rem)
 	if r.pos == len(r.refs) {
