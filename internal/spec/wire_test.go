@@ -19,14 +19,6 @@ import (
 // any per-event table.
 func cellDocFor(t *testing.T, c Cell) (hash string, data []byte) {
 	t.Helper()
-	canon, err := c.Canonical()
-	if err != nil {
-		t.Fatal(err)
-	}
-	hash, err = c.Hash()
-	if err != nil {
-		t.Fatal(err)
-	}
 	results := make([]SchemeResult, len(c.Schemes))
 	for i, s := range c.Schemes {
 		e, err := coherence.NewByName(s, c.Machine)
@@ -36,6 +28,21 @@ func cellDocFor(t *testing.T, c Cell) (hash string, data []byte) {
 		st := &coherence.Stats{Refs: 1}
 		st.Events.Inc(events.Instr)
 		results[i] = SchemeResult{Scheme: e.Name(), Stats: st}
+	}
+	return docWith(t, c, results)
+}
+
+// docWith returns the cell's content address and its document holding
+// results.
+func docWith(t *testing.T, c Cell, results []SchemeResult) (hash string, data []byte) {
+	t.Helper()
+	canon, err := c.Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hash, err = c.Hash()
+	if err != nil {
+		t.Fatal(err)
 	}
 	rb, err := json.Marshal(results)
 	if err != nil {
@@ -116,20 +123,7 @@ func simulatedCellDoc(t *testing.T, c Cell) (hash string, data []byte, rs []Sche
 	for _, r := range results {
 		rs = append(rs, SchemeResult{Scheme: r.Scheme, Stats: r.Stats})
 	}
-	canon, err := c.Canonical()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hash, err = c.Hash(); err != nil {
-		t.Fatal(err)
-	}
-	rb, err := json.Marshal(rs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if data, err = json.Marshal(CellDoc{SpecVersion: CurrentVersion, Spec: canon, Results: rb}); err != nil {
-		t.Fatal(err)
-	}
+	hash, data = docWith(t, c, rs)
 	return hash, data, rs
 }
 
