@@ -32,7 +32,6 @@ import (
 	"dirsim/internal/bus"
 	"dirsim/internal/coherence"
 	"dirsim/internal/flight"
-	"dirsim/internal/numa"
 	"dirsim/internal/obs"
 	"dirsim/internal/report"
 	"dirsim/internal/sim"
@@ -282,16 +281,16 @@ func run(ctx context.Context, w io.Writer, o options) error {
 		}
 	}
 	if o.numaNodes > 0 {
-		ncfg := numa.Config{Nodes: o.numaNodes}
+		ncfg := coherence.NUMAConfig{Nodes: o.numaNodes}
 		switch strings.ToLower(o.numaHome) {
 		case "interleaved":
-			ncfg.Policy = numa.Interleaved
+			ncfg.Policy = coherence.Interleaved
 		case "firsttouch", "first-touch":
-			ncfg.Policy = numa.FirstTouch
+			ncfg.Policy = coherence.FirstTouch
 		default:
 			return fmt.Errorf("unknown -home %q (want interleaved or firsttouch)", o.numaHome)
 		}
-		eng, err := numa.New(ncfg)
+		eng, err := coherence.NewNUMA(ncfg)
 		if err != nil {
 			return err
 		}
@@ -302,10 +301,10 @@ func run(ctx context.Context, w io.Writer, o options) error {
 		if o.dropLocks {
 			rd2 = trace.DropLockSpins(rd2)
 		}
-		st, err := numa.Run(ctx, rd2, eng, numa.Options{})
-		if err != nil {
+		if _, err := sim.Run(ctx, rd2, []coherence.Engine{eng}, sim.Options{}); err != nil {
 			return err
 		}
+		st := eng.NUMAStats()
 		nt := report.NewTable(fmt.Sprintf("distributed full-map directory, %d nodes, %s homes", o.numaNodes, ncfg.Policy),
 			"metric", "value")
 		nt.AddRow("messages/ref", fmt.Sprintf("%.4f", st.MessagesPerRef()))

@@ -35,7 +35,6 @@ import (
 	"dirsim/internal/coherence"
 	"dirsim/internal/directory"
 	"dirsim/internal/flight"
-	"dirsim/internal/numa"
 	"dirsim/internal/obs"
 	"dirsim/internal/queueing"
 	"dirsim/internal/report"
@@ -645,20 +644,27 @@ func run(ctx context.Context, w io.Writer, o options) error {
 	s.do("section7-numa", func() error {
 		nTb := report.NewTable("Section 7: message-level distributed directory (POPS)",
 			"home policy", "msgs/ref", "critical hops/ref", "local homes", "3-hop misses/1k refs")
-		for _, policy := range []numa.HomePolicy{numa.Interleaved, numa.FirstTouch} {
-			eng, err := numa.New(numa.Config{Nodes: cpus, Policy: policy})
+		// Both policies' engines see one generated trace in one run.
+		policies := []coherence.HomePolicy{coherence.Interleaved, coherence.FirstTouch}
+		var numas []*coherence.NUMAEngine
+		var engines []coherence.Engine
+		for _, policy := range policies {
+			eng, err := coherence.NewNUMA(coherence.NUMAConfig{Nodes: cpus, Policy: policy})
 			if err != nil {
 				return err
 			}
-			g, err := tracegen.New(tracegen.POPS(refs))
-			if err != nil {
-				return err
-			}
-			st, err := numa.Run(ctx, g, eng, numa.Options{})
-			if err != nil {
-				return err
-			}
-			nTb.AddRow(policy.String(),
+			numas, engines = append(numas, eng), append(engines, eng)
+		}
+		g, err := tracegen.New(tracegen.POPS(refs))
+		if err != nil {
+			return err
+		}
+		if _, err := sim.Run(ctx, g, engines, sim.Options{}); err != nil {
+			return err
+		}
+		for i, eng := range numas {
+			st := eng.NUMAStats()
+			nTb.AddRow(policies[i].String(),
 				fmt.Sprintf("%.4f", st.MessagesPerRef()),
 				fmt.Sprintf("%.4f", st.CriticalHopsPerRef()),
 				fmt.Sprintf("%.2f", st.LocalHomeFraction()),

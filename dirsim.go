@@ -19,8 +19,9 @@
 //   - directory storage organisations and their bit budgets
 //     (internal/directory);
 //   - bus-contention queueing models and the Section 7 distributed-machine
-//     network (internal/queueing), plus the message-level NUMA directory
-//     (internal/numa);
+//     network (internal/queueing), plus the message-level NUMA directory,
+//     an engine family of internal/coherence that RunNUMA drives through
+//     the simulation driver;
 //   - replicated studies with confidence intervals (internal/study);
 //   - report renderers for every table and figure, CSV and Markdown
 //     output (internal/report).
@@ -48,7 +49,6 @@ import (
 	"dirsim/internal/coherence"
 	"dirsim/internal/directory"
 	"dirsim/internal/events"
-	"dirsim/internal/numa"
 	"dirsim/internal/queueing"
 	"dirsim/internal/sim"
 	"dirsim/internal/study"
@@ -390,35 +390,51 @@ func ScalingCurve(think, service, interconnect float64, sizes []int) (central, d
 // NUMAConfig describes the Section 7 distributed machine for message-level
 // simulation: each node holds a processor, memory and its slice of the
 // full-map directory.
-type NUMAConfig = numa.Config
+type NUMAConfig = coherence.NUMAConfig
 
 // NUMAEngine simulates the distributed full-map directory at the message
 // level, counting protocol messages, critical-path hops, and home-locality.
-type NUMAEngine = numa.Engine
+// It is an Engine whose nodes are its caches: Stats returns the
+// *EngineStats every engine keeps (references, events, transactions), and
+// NUMAStats the message-level accounting.
+type NUMAEngine = coherence.NUMAEngine
 
 // NUMAStats is the message-level accounting of a distributed run.
-type NUMAStats = numa.Stats
+type NUMAStats = coherence.NUMAStats
 
 // NUMAOptions configures a trace run on the distributed machine.
-type NUMAOptions = numa.Options
+type NUMAOptions struct {
+	// BlockBytes is the coherence block size; zero means 16 bytes.
+	BlockBytes int
+	// IncludeFirstRefCosts counts cold misses' traffic instead of
+	// excluding them (the bus simulator's convention is exclusion).
+	IncludeFirstRefCosts bool
+}
 
 // Home-assignment policies for NUMAConfig.Policy.
 const (
-	Interleaved = numa.Interleaved
-	FirstTouch  = numa.FirstTouch
+	Interleaved = coherence.Interleaved
+	FirstTouch  = coherence.FirstTouch
 )
 
 // NewNUMA returns a distributed-directory engine.
-func NewNUMA(cfg NUMAConfig) (*NUMAEngine, error) { return numa.New(cfg) }
+func NewNUMA(cfg NUMAConfig) (*NUMAEngine, error) { return coherence.NewNUMA(cfg) }
 
 // RunNUMA streams a trace through the distributed machine.
 func RunNUMA(rd TraceReader, e *NUMAEngine, opts NUMAOptions) (*NUMAStats, error) {
-	return numa.Run(context.Background(), rd, e, opts)
+	return RunNUMAContext(context.Background(), rd, e, opts)
 }
 
-// RunNUMAContext is RunNUMA with a cancellation context.
+// RunNUMAContext is RunNUMA with a cancellation context. The trace is
+// driven as Run drives any engine, with the same first-reference
+// exclusion; a reference from a CPU the machine has no node for is an
+// error.
 func RunNUMAContext(ctx context.Context, rd TraceReader, e *NUMAEngine, opts NUMAOptions) (*NUMAStats, error) {
-	return numa.Run(ctx, rd, e, opts)
+	o := sim.Options{BlockBytes: opts.BlockBytes, IncludeFirstRefCosts: opts.IncludeFirstRefCosts}
+	if _, err := sim.Run(ctx, rd, []coherence.Engine{e}, o); err != nil {
+		return nil, err
+	}
+	return e.NUMAStats(), nil
 }
 
 // ---------------------------------------------------------------------------

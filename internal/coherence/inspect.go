@@ -22,8 +22,9 @@ import (
 // because a shared block-id table can know ids this engine has not grown
 // its arrays to yet.
 
-// Compile-time proof that every scheme NewByName can return is
-// inspectable; mc relies on the type assertion never failing.
+// Compile-time proof that every scheme NewByName can return, and the
+// NUMA family, is inspectable; mc relies on the type assertion never
+// failing.
 var (
 	_ Inspector = (*DirEngine)(nil)
 	_ Inspector = (*Berkeley)(nil)
@@ -31,6 +32,7 @@ var (
 	_ Inspector = (*Dragon)(nil)
 	_ Inspector = (*MOESI)(nil)
 	_ Inspector = (*ReadBroadcast)(nil)
+	_ Inspector = (*NUMAEngine)(nil)
 )
 
 // Compile-time proof that every engine family supports id-indexed access;
@@ -42,6 +44,7 @@ var (
 	_ IndexedEngine = (*Dragon)(nil)
 	_ IndexedEngine = (*MOESI)(nil)
 	_ IndexedEngine = (*ReadBroadcast)(nil)
+	_ IndexedEngine = (*NUMAEngine)(nil)
 )
 
 // StateKey implements Inspector for the families whose ground truth is

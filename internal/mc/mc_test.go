@@ -210,3 +210,37 @@ func TestOptionsValidate(t *testing.T) {
 		t.Fatal("unknown scheme accepted")
 	}
 }
+
+// TestExploreNUMA explores the message-level NUMA family under both home
+// policies. Its ground truth is Dir_nNB's; under first-touch the key also
+// carries each block's assigned home, so the graph is larger. The counts
+// pin how StateKey folds the states, as TestStateGraphGolden does for the
+// registry schemes.
+func TestExploreNUMA(t *testing.T) {
+	for _, tc := range []struct {
+		policy       coherence.HomePolicy
+		opts         Options
+		nodes, edges int
+	}{
+		{coherence.Interleaved, Options{Caches: 2, Blocks: 1}, 6, 21},
+		{coherence.Interleaved, Options{Caches: 2, Blocks: 2}, 36, 227},
+		{coherence.Interleaved, Options{Caches: 3, Blocks: 2}, 121, 1176},
+		{coherence.FirstTouch, Options{Caches: 2, Blocks: 1}, 9, 30},
+		{coherence.FirstTouch, Options{Caches: 2, Blocks: 2}, 81, 476},
+		{coherence.FirstTouch, Options{Caches: 3, Blocks: 2}, 625, 5724},
+	} {
+		res, err := Explore(func() (coherence.Engine, error) {
+			return coherence.NewNUMA(coherence.NUMAConfig{Nodes: tc.opts.Caches, Policy: tc.policy})
+		}, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := fmt.Sprintf("%s %dx%d", tc.policy, tc.opts.Caches, tc.opts.Blocks)
+		if len(res.Violations) != 0 || res.Truncated {
+			t.Fatalf("%s: %d violations, truncated %v", name, len(res.Violations), res.Truncated)
+		}
+		if res.Nodes != tc.nodes || res.Edges != tc.edges {
+			t.Errorf("%s: %d nodes, %d edges; want %d, %d", name, res.Nodes, res.Edges, tc.nodes, tc.edges)
+		}
+	}
+}
