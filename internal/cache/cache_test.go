@@ -11,30 +11,8 @@ import (
 // ins inserts a block whose id equals its block number — convenient for
 // tests, where the identity interning keeps set selection (low block bits)
 // and id-keyed membership trivially in sync.
-func ins(c Replacer, b uint64) (blockid.ID, bool) {
+func ins(c *SetAssoc, b uint64) (blockid.ID, bool) {
 	return c.Insert(b, blockid.ID(b))
-}
-
-func TestInfiniteNeverEvicts(t *testing.T) {
-	c := NewInfinite()
-	for b := uint64(0); b < 10_000; b++ {
-		if _, evicted := ins(c, b); evicted {
-			t.Fatalf("infinite cache evicted at block %d", b)
-		}
-	}
-	if c.Len() != 10_000 {
-		t.Errorf("Len = %d, want 10000", c.Len())
-	}
-	if !c.Contains(5) {
-		t.Error("Contains(5) = false after insert")
-	}
-	c.Remove(5)
-	if c.Contains(5) {
-		t.Error("Contains(5) = true after remove")
-	}
-	if c.Len() != 9_999 {
-		t.Errorf("Len = %d after remove, want 9999", c.Len())
-	}
 }
 
 func TestNewSetAssocValidation(t *testing.T) {

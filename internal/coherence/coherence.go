@@ -295,17 +295,16 @@ func (c Config) Finite() bool { return c.FiniteSets > 0 && c.FiniteWays > 0 }
 
 // newReplacers builds per-cache replacement trackers, or nil in infinite
 // mode (membership is already tracked by the ground-truth sharer sets).
-func (c Config) newReplacers() ([]cache.Replacer, error) {
+func (c Config) newReplacers() ([]*cache.SetAssoc, error) {
 	if !c.Finite() {
 		return nil, nil
 	}
-	out := make([]cache.Replacer, c.Caches)
+	out := make([]*cache.SetAssoc, c.Caches)
 	for i := range out {
-		r, err := cache.NewSetAssoc(c.FiniteSets, c.FiniteWays)
-		if err != nil {
+		var err error
+		if out[i], err = cache.NewSetAssoc(c.FiniteSets, c.FiniteWays); err != nil {
 			return nil, err
 		}
-		out[i] = r
 	}
 	return out, nil
 }

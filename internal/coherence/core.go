@@ -28,7 +28,7 @@ type engineCore struct {
 	cfg       Config
 	stats     Stats
 	tab       *blockid.Table
-	replacers []cache.Replacer
+	replacers []*cache.SetAssoc
 
 	// state is the ground truth every family keeps and every Inspector
 	// key starts from.

@@ -36,7 +36,7 @@ type DirEngine struct {
 
 	// entries is the sparse-directory entry tracker (nil when the
 	// directory is memory-resident).
-	entries cache.Replacer
+	entries *cache.SetAssoc
 
 	// scratch is the reusable buffer handed to store.Targets on the
 	// per-reference path; it reaches steady-state capacity after the
@@ -67,11 +67,9 @@ func NewDirEngine(name string, store directory.Store, cfg Config) (*DirEngine, e
 		e.probes = tg.Probes()
 	}
 	if cfg.DirEntries > 0 {
-		lru, err := cache.NewLRU(cfg.DirEntries)
-		if err != nil {
+		if e.entries, err = cache.NewLRU(cfg.DirEntries); err != nil {
 			return nil, err
 		}
-		e.entries = lru
 	}
 	return e, nil
 }

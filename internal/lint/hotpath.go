@@ -115,9 +115,9 @@ var ObsRing = HotPathRule{
 //
 // It admits amortized allocation: a first-touch insert or a scratch
 // buffer reaching its steady-state capacity costs nothing per reference.
-// Dynamic dispatch inside the path (directory.Store, cache.Replacer)
-// resolves to every module implementation, so one allocating store
-// organisation fails the rule for every engine that can reach it.
+// Dynamic dispatch inside the path (directory.Store) resolves to every
+// module implementation, so one allocating store organisation fails the
+// rule for every engine that can reach it.
 var EnginePurity = HotPathRule{
 	id:    "enginepurity",
 	doc:   "per-call allocation, wall clock, global rand or map iteration reachable from an engine's per-reference hot path",
