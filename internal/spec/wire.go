@@ -57,7 +57,10 @@ type CellDoc struct {
 // peer cannot pass off results for different work. It must carry one
 // result per scheme the spec names, in spec order, each under the name
 // the engine for that scheme reports, with Stats whose events partition
-// its references. Where the scheme has a per-event cost table, its
+// its references. Every result saw the same trace, so all must count the
+// same references; with no Filter the spec determines that count, the
+// generated trace's length less Sim.WarmupRefs (never below zero), and
+// each must equal it. Where the scheme has a per-event cost table, its
 // operations must equal its events priced by that table plus its
 // eviction write-backs (coherence.VerifyAccounting). That check is
 // skipped only for Stats with sparse-directory entry replacements, which
@@ -90,6 +93,14 @@ func VerifyCellDoc(hash string, data []byte) error {
 	if len(results) != len(c.Schemes) {
 		return fmt.Errorf("spec: cell document has %d results for %d schemes", len(results), len(c.Schemes))
 	}
+	filter, err := filterFunc(c.Filter)
+	if err != nil {
+		return fmt.Errorf("spec: cell document spec: %w", err)
+	}
+	wantRefs := -1 // the reference count the spec determines, if it does
+	if filter == nil {
+		wantRefs = max(0, c.Trace.Refs-c.Sim.WarmupRefs)
+	}
 	for i, r := range results {
 		name, err := coherence.SchemeName(c.Schemes[i])
 		if err != nil {
@@ -103,6 +114,12 @@ func VerifyCellDoc(hash string, data []byte) error {
 		case r.Stats.Events.Total() != r.Stats.Refs:
 			return fmt.Errorf("spec: cell document result %d (%s): events total %d for %d refs",
 				i, r.Scheme, r.Stats.Events.Total(), r.Stats.Refs)
+		case wantRefs >= 0 && r.Stats.Refs != uint64(wantRefs):
+			return fmt.Errorf("spec: cell document result %d (%s): %d refs where the spec determines %d",
+				i, r.Scheme, r.Stats.Refs, wantRefs)
+		case r.Stats.Refs != results[0].Stats.Refs:
+			return fmt.Errorf("spec: cell document result %d (%s): %d refs where result 0 has %d",
+				i, r.Scheme, r.Stats.Refs, results[0].Stats.Refs)
 		case c.Machine.DirEntries == 0 && r.Stats.DirEntryEvictions > 0:
 			return fmt.Errorf("spec: cell document result %d (%s): %d directory entry replacements without a sparse directory",
 				i, r.Scheme, r.Stats.DirEntryEvictions)

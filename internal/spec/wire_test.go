@@ -14,9 +14,9 @@ import (
 )
 
 // cellDocFor fabricates a cell document for the cell, with one result
-// per scheme under its engine's name and Stats holding one instruction
-// fetch, which partitions the references and costs no operation under
-// any per-event table.
+// per scheme under its engine's name and Stats holding as many
+// instruction fetches as the unfiltered cell measures, which partition
+// the references and cost no operation under any per-event table.
 func cellDocFor(t *testing.T, c Cell) (hash string, data []byte) {
 	t.Helper()
 	results := make([]SchemeResult, len(c.Schemes))
@@ -25,8 +25,8 @@ func cellDocFor(t *testing.T, c Cell) (hash string, data []byte) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st := &coherence.Stats{Refs: 1}
-		st.Events.Inc(events.Instr)
+		st := &coherence.Stats{Refs: uint64(max(0, c.Trace.Refs-c.Sim.WarmupRefs))}
+		st.Events.Add(events.Instr, st.Refs)
 		results[i] = SchemeResult{Scheme: e.Name(), Stats: st}
 	}
 	return docWith(t, c, results)
@@ -189,15 +189,29 @@ func TestVerifyCellDocResultCountMismatch(t *testing.T) {
 	}
 }
 
-// Each forged result list is rejected: one result too many,
-// results out of spec order, a scheme the spec does not name, a name in
-// the spec's spelling rather than the engine's, missing Stats, events
-// that do not partition the references, operations their events and a
-// scheme's per-event table do not account for, and entry replacements
-// claimed on a cell without a sparse directory.
+// scale multiplies a result's references, events and operations by k,
+// which keeps the events partitioning the references and the operations
+// their events priced by any per-event table.
+func scale(st *coherence.Stats, k uint64) {
+	st.Refs *= k
+	for i := range st.Events {
+		st.Events[i] *= k
+	}
+	for i := range st.Ops {
+		st.Ops[i] *= k
+	}
+}
+
+// Each forged edit of an honest, simulated result list is rejected: one
+// result too many, results out of spec order, a scheme the spec does not
+// name, a name in the spec's spelling rather than the engine's, missing
+// Stats, events that do not partition the references, operations their
+// events and a scheme's per-event table do not account for, entry
+// replacements claimed on a cell without a sparse directory, and a
+// result scaled to a reference count the spec does not determine.
 func TestVerifyCellDocRejectsForgedResults(t *testing.T) {
 	c := verifyTestCell(t)
-	hash, data := cellDocFor(t, c)
+	hash, data, _ := simulatedCellDoc(t, c)
 	var cd CellDoc
 	if err := json.Unmarshal(data, &cd); err != nil {
 		t.Fatal(err)
@@ -259,6 +273,10 @@ func TestVerifyCellDocRejectsForgedResults(t *testing.T) {
 			rs[0].Stats.Ops[bus.OpBroadcastInvalidate]++
 			return rs
 		})},
+		{"scaled Dir0B", "the spec determines", forge(func(rs []SchemeResult) []SchemeResult {
+			scale(rs[0].Stats, 2)
+			return rs
+		})},
 	} {
 		rb, err := json.Marshal(tc.results)
 		if err != nil {
@@ -274,6 +292,25 @@ func TestVerifyCellDocRejectsForgedResults(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: forged document gave %v, want an error containing %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// A filter leaves the reference count to the trace, but every result of
+// the cell saw the same one: a result scaled away from the others fails.
+func TestVerifyCellDocFilteredRefsAgree(t *testing.T) {
+	c := verifyTestCell(t)
+	c.Filter = "droplockspins"
+	hash, data, rs := simulatedCellDoc(t, c)
+	if rs[0].Stats.Refs == uint64(c.Trace.Refs) {
+		t.Fatalf("filter dropped no reference of %d", c.Trace.Refs)
+	}
+	if err := VerifyCellDoc(hash, data); err != nil {
+		t.Fatalf("honest filtered document rejected: %v", err)
+	}
+	scale(rs[1].Stats, 2)
+	_, data = docWith(t, c, rs)
+	if err := VerifyCellDoc(hash, data); err == nil || !strings.Contains(err.Error(), "where result 0 has") {
+		t.Errorf("scaled filtered result gave %v", err)
 	}
 }
 
