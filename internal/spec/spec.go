@@ -11,17 +11,16 @@
 // two specs hash equal if and only if they describe the same work, which
 // is what lets the daemon deduplicate concurrent identical requests and
 // serve repeats from its content-addressed result cache. The encoding is
+// written in one typed pass over the spec's fields, byte for byte what
+// encoding/json's output re-emitted with sorted keys would be, and is
 // pinned by golden-hash tests: a change that shifts any hash is a cache
 // format break and must be made deliberately.
 package spec
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
 
 	"dirsim/internal/coherence"
@@ -349,74 +348,4 @@ func (r Request) Hash() (string, error) {
 	}
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:]), nil
-}
-
-// canonicalJSON marshals v with encoding/json, then re-emits the value
-// with object keys sorted and number literals preserved verbatim. Go's
-// number formatting is already the shortest form that round-trips, so the
-// result is a deterministic function of the value alone.
-func canonicalJSON(v any) ([]byte, error) {
-	raw, err := json.Marshal(v)
-	if err != nil {
-		return nil, fmt.Errorf("spec: %w", err)
-	}
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.UseNumber()
-	var tree any
-	if err := dec.Decode(&tree); err != nil {
-		return nil, fmt.Errorf("spec: %w", err)
-	}
-	var buf bytes.Buffer
-	if err := writeCanonical(&buf, tree); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// writeCanonical emits one canonical-JSON value.
-func writeCanonical(buf *bytes.Buffer, v any) error {
-	switch x := v.(type) {
-	case map[string]any:
-		keys := make([]string, 0, len(x))
-		for k := range x {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		buf.WriteByte('{')
-		for i, k := range keys {
-			if i > 0 {
-				buf.WriteByte(',')
-			}
-			kb, err := json.Marshal(k)
-			if err != nil {
-				return fmt.Errorf("spec: %w", err)
-			}
-			buf.Write(kb)
-			buf.WriteByte(':')
-			if err := writeCanonical(buf, x[k]); err != nil {
-				return err
-			}
-		}
-		buf.WriteByte('}')
-	case []any:
-		buf.WriteByte('[')
-		for i, e := range x {
-			if i > 0 {
-				buf.WriteByte(',')
-			}
-			if err := writeCanonical(buf, e); err != nil {
-				return err
-			}
-		}
-		buf.WriteByte(']')
-	case json.Number:
-		buf.WriteString(string(x))
-	default:
-		b, err := json.Marshal(x)
-		if err != nil {
-			return fmt.Errorf("spec: %w", err)
-		}
-		buf.Write(b)
-	}
-	return nil
 }

@@ -53,7 +53,15 @@ func CheckDocVersion(data []byte) error {
 	if err := json.Unmarshal(data, &p); err != nil {
 		return &VersionError{Got: "unreadable (not a JSON document)", Want: CurrentVersion}
 	}
-	raw := string(p.SpecVersion)
+	return checkRawVersion(p.SpecVersion)
+}
+
+// checkRawVersion classifies a document's raw "spec_version" value as
+// CheckDocVersion does: nil exactly for the integer CurrentVersion, and
+// a *VersionError for an absent or null value, a non-integer, or another
+// generation.
+func checkRawVersion(version json.RawMessage) error {
+	raw := string(version)
 	if raw == "" || raw == "null" {
 		return &VersionError{Got: "missing", Want: CurrentVersion}
 	}
