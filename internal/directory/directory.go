@@ -34,6 +34,7 @@ package directory
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"dirsim/internal/blockid"
 )
@@ -91,7 +92,8 @@ type Store interface {
 	// the organisation remembers about block id — the directory half of a
 	// model-checking state key. Blocks the store tracks nothing for
 	// encode as "". Two stores of the same organisation with equal keys
-	// answer Targets and Count identically for that block.
+	// answer Count identically and Targets with the same caches for that
+	// block, in the same order wherever the order changes behaviour.
 	BlockKey(id blockid.ID) string
 }
 
@@ -228,13 +230,17 @@ func (f *FullMap) StorageBits(p StorageParams) uint64 {
 	return p.MemoryBlocks * uint64(p.Caches+1)
 }
 
-// BlockKey implements Store: the holder list in insertion order (the order
-// determines the sequence of directed invalidations, so it is state).
+// BlockKey implements Store: the holders, sorted. The order they joined
+// in orders Targets' directed invalidations, but every invalidation costs
+// the same and the engine drops all the copies at once, so the order is
+// not state: holders reached in any order behave alike.
 func (f *FullMap) BlockKey(id blockid.ID) string {
 	if int(id) >= len(f.present) || len(f.present[id]) == 0 {
 		return ""
 	}
-	return fmt.Sprint(f.present[id])
+	hs := slices.Clone(f.present[id])
+	slices.Sort(hs)
+	return fmt.Sprint(hs)
 }
 
 // Holders returns the exact holder list (primarily for tests and for
