@@ -23,10 +23,17 @@ import (
 // goldens were generated from the original map-keyed engines, so any
 // representation change (block-id interning, struct-of-arrays state, the
 // intrusive LRU) that perturbs results by even one counter fails here.
-// Regenerate with `go test ./internal/sim -run TestEngineEquivalenceGoldens
-// -update` — but only when a behaviour change is intended and understood.
+// testdata/equivalence_stats.json holds a second digest per engine over
+// the scheme name and Stats alone, so a change to how a state key is
+// rendered, which refreshes the first file, is seen to leave every
+// result as it was. Regenerate both with `go test ./internal/sim -run
+// TestEngineEquivalenceGoldens -update` — but only when a behaviour
+// change is intended and understood.
 
-const equivalenceGoldenFile = "testdata/equivalence.json"
+const (
+	equivalenceGoldenFile      = "testdata/equivalence.json"
+	equivalenceStatsGoldenFile = "testdata/equivalence_stats.json"
+)
 
 // equivalenceCases pairs machine configurations with driver options,
 // covering the paper's infinite-cache mode, first-reference pricing,
@@ -84,8 +91,9 @@ func dataBlocks(tr trace.Slice, blockBytes int) []uint64 {
 
 // engineDigest hashes everything a run makes observable: the scheme name,
 // the full Stats (JSON, fixed field order) and the Inspector's canonical
-// state key over the given blocks.
-func engineDigest(t *testing.T, r Result, eng coherence.Engine, blocks []uint64) string {
+// state key over the given blocks. statsOnly hashes the scheme name and
+// the Stats alone.
+func engineDigest(t *testing.T, r Result, eng coherence.Engine, blocks []uint64) (all, statsOnly string) {
 	t.Helper()
 	stats, err := json.Marshal(r.Stats)
 	if err != nil {
@@ -93,12 +101,13 @@ func engineDigest(t *testing.T, r Result, eng coherence.Engine, blocks []uint64)
 	}
 	h := sha256.New()
 	fmt.Fprintf(h, "scheme=%s\nstats=%s\n", r.Scheme, stats)
+	statsOnly = hex.EncodeToString(h.Sum(nil))
 	insp, ok := eng.(coherence.Inspector)
 	if !ok {
 		t.Fatalf("%s: engine does not implement Inspector", r.Scheme)
 	}
 	fmt.Fprintf(h, "state=%s\n", insp.StateKey(blocks))
-	return hex.EncodeToString(h.Sum(nil))
+	return hex.EncodeToString(h.Sum(nil)), statsOnly
 }
 
 // nextOnlyReader hides a reader's concrete type behind the bare Reader
@@ -136,8 +145,8 @@ var driverShapes = []struct {
 
 // computeEquivalenceDigests runs every registered engine over every
 // workload × configuration, driven in shape driverShapes[s], and returns
-// the digest map keyed "workload/config/scheme".
-func computeEquivalenceDigests(t *testing.T, s int) map[string]string {
+// engineDigest's two digest maps, each keyed "workload/config/scheme".
+func computeEquivalenceDigests(t *testing.T, s int) (digests, statsDigests map[string]string) {
 	t.Helper()
 	shape := driverShapes[s]
 	traces := equivalenceTraces(t)
@@ -147,7 +156,7 @@ func computeEquivalenceDigests(t *testing.T, s int) map[string]string {
 	}
 	sort.Strings(workloads)
 	schemes := coherence.EngineNames()
-	digests := map[string]string{}
+	digests, statsDigests = map[string]string{}, map[string]string{}
 	for _, w := range workloads {
 		tr := traces[w]
 		blocks := dataBlocks(tr, trace.DefaultBlockBytes)
@@ -185,11 +194,12 @@ func computeEquivalenceDigests(t *testing.T, s int) map[string]string {
 				if err := engines[i].CheckInvariants(); err != nil {
 					t.Fatalf("%s/%s/%s/%s: %v", shape.name, w, c.name, scheme, err)
 				}
-				digests[w+"/"+c.name+"/"+scheme] = engineDigest(t, results[i], engines[i], blocks)
+				key := w + "/" + c.name + "/" + scheme
+				digests[key], statsDigests[key] = engineDigest(t, results[i], engines[i], blocks)
 			}
 		}
 	}
-	return digests
+	return digests, statsDigests
 }
 
 // TestEngineEquivalenceGoldens asserts that every engine still produces
@@ -197,47 +207,54 @@ func computeEquivalenceDigests(t *testing.T, s int) map[string]string {
 // implementation, across all 17 schemes and every configuration class,
 // however Run is driven.
 func TestEngineEquivalenceGoldens(t *testing.T) {
+	files := []string{equivalenceGoldenFile, equivalenceStatsGoldenFile}
 	if *updateGolden {
-		got := computeEquivalenceDigests(t, 0)
-		data, err := json.MarshalIndent(got, "", "\t")
-		if err != nil {
-			t.Fatal(err)
+		got, gotStats := computeEquivalenceDigests(t, 0)
+		for i, digests := range []map[string]string{got, gotStats} {
+			data, err := json.MarshalIndent(digests, "", "\t")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.MkdirAll(filepath.Dir(files[i]), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(files[i], append(data, '\n'), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("wrote %d digests to %s", len(digests), files[i])
 		}
-		if err := os.MkdirAll(filepath.Dir(equivalenceGoldenFile), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(equivalenceGoldenFile, append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %d digests to %s", len(got), equivalenceGoldenFile)
 		return
 	}
-	data, err := os.ReadFile(equivalenceGoldenFile)
-	if err != nil {
-		t.Fatalf("read goldens (regenerate with -update): %v", err)
-	}
-	var want map[string]string
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatal(err)
+	want := make([]map[string]string, len(files))
+	for i, file := range files {
+		data, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatalf("read goldens (regenerate with -update): %v", err)
+		}
+		if err := json.Unmarshal(data, &want[i]); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for s, shape := range driverShapes {
 		t.Run(shape.name, func(t *testing.T) {
-			got := computeEquivalenceDigests(t, s)
-			if len(want) != len(got) {
-				t.Errorf("golden has %d digests, run produced %d", len(want), len(got))
-			}
-			var bad []string
-			for k, w := range want {
-				if g, ok := got[k]; !ok {
-					bad = append(bad, k+" (missing from run)")
-				} else if g != w {
-					bad = append(bad, k)
+			got, gotStats := computeEquivalenceDigests(t, s)
+			for i, got := range []map[string]string{got, gotStats} {
+				if len(want[i]) != len(got) {
+					t.Errorf("%s has %d digests, run produced %d", files[i], len(want[i]), len(got))
 				}
-			}
-			sort.Strings(bad)
-			if len(bad) > 0 {
-				t.Errorf("%d of %d digests diverge from the seed results:\n  %s",
-					len(bad), len(want), strings.Join(bad, "\n  "))
+				var bad []string
+				for k, w := range want[i] {
+					if g, ok := got[k]; !ok {
+						bad = append(bad, k+" (missing from run)")
+					} else if g != w {
+						bad = append(bad, k)
+					}
+				}
+				sort.Strings(bad)
+				if len(bad) > 0 {
+					t.Errorf("%d of %d digests in %s diverge from the seed results:\n  %s",
+						len(bad), len(want[i]), files[i], strings.Join(bad, "\n  "))
+				}
 			}
 		})
 	}
