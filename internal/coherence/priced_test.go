@@ -117,6 +117,11 @@ func TestPricedFromRule(t *testing.T) {
 		{"inf", "wti", "dragon", false, "update protocol"},
 		{"inf", "wti", "readbroadcast", false, "snarfing refills copies"},
 		{"inf", "dragon", "firefly", false, "update protocols are simulated"},
+		{"inf", "moesi", "mesi", false, "the Owned state is simulated"},
+		{"inf", "moesi", "dir0b", false, "the Owned state is simulated"},
+		{"sparse", "moesi", "wti", false, "the Owned state is simulated"},
+		{"inf", "readbroadcast", "wti", false, "snarfing is simulated"},
+		{"inf", "readbroadcast", "dirnnb", false, "snarfing is simulated"},
 	} {
 		cfg := pricingConfigs[tc.cfg]
 		e, b := must(NewByName(tc.e, cfg)), must(NewByName(tc.basis, cfg))

@@ -14,14 +14,14 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite testdata/graphs.golden")
 
 // TestStateGraphGolden pins the shape of every engine's reachable state
-// graph over three small universes. The equivalence digests pin what the
+// graph over five small universes. The equivalence digests pin what the
 // engines do on traces; this pins how StateKey folds their states, so a
 // key that merges two states (hiding behaviour from the checker) or splits
 // one (inflating the graph) shows up as a changed line. Refresh with
 // `go test ./internal/mc -run StateGraphGolden -update`, but only for a
 // change to an engine's state-change model that is intended.
 func TestStateGraphGolden(t *testing.T) {
-	universes := []Options{{Caches: 2, Blocks: 1}, {Caches: 2, Blocks: 2}, {Caches: 3, Blocks: 2}}
+	universes := []Options{{Caches: 2, Blocks: 1}, {Caches: 2, Blocks: 2}, {Caches: 3, Blocks: 2}, {Caches: 4, Blocks: 1}, {Caches: 5, Blocks: 1}}
 	names := coherence.EngineNames()
 	lines := make([]string, len(universes)*len(names))
 	// The group returns once its parallel explorations have finished.

@@ -163,6 +163,9 @@ func TestHistogramJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if want := `{"counts":[1,2,0,1]}`; string(data) != want {
+		t.Errorf("Marshal = %s, want %s", data, want)
+	}
 	var back Histogram
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
@@ -181,6 +184,9 @@ func TestHistogramJSONRoundTrip(t *testing.T) {
 	data, err = json.Marshal(empty)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if want := `{"counts":null}`; string(data) != want {
+		t.Errorf("Marshal(empty) = %s, want %s", data, want)
 	}
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
