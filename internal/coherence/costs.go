@@ -65,6 +65,21 @@ var (
 		events.WriteMissUncached:   {bus.OpMemRead},
 	}
 
+	// moesiOps: MESI's, except that the owner supplies a written block
+	// cache-to-cache and keeps it Owned instead of writing it back. A
+	// write hit to an Owned block with sharers is a WriteHitDirty that
+	// still broadcasts the invalidation; the engine emits that one
+	// itself, so eventOps leaves MOESI out.
+	moesiOps = opTable{
+		events.ReadMissClean:       {bus.OpCacheRead},
+		events.ReadMissDirty:       {bus.OpCacheRead},
+		events.ReadMissUncached:    {bus.OpMemRead},
+		events.WriteHitCleanShared: {bus.OpBroadcastInvalidate},
+		events.WriteMissClean:      {bus.OpCacheRead},
+		events.WriteMissDirty:      {bus.OpCacheRead},
+		events.WriteMissUncached:   {bus.OpMemRead},
+	}
+
 	// dir1nbOps: a block lives in one cache, so a write hit needs no
 	// directory query, and a miss to a held block carries the one
 	// invalidation with its fetch or write-back request.

@@ -285,7 +285,7 @@ func (e *DirEngine) takeExclusive(c int, block uint64, id blockid.ID) {
 	st.sharers[id].Add(c)
 	st.dirty[id] = true
 	st.owner[id] = int32(c)
-	e.insertReplacer(c, block, id)
+	e.insert(c, block, id)
 }
 
 // emitRequest sends the write-back request for a dirty block to its owner:
@@ -404,7 +404,7 @@ func (e *DirEngine) fill(c int, block uint64, id blockid.ID) {
 		e.removeFromReplacer(victim, id)
 	}
 	e.state.sharers[id].Add(c)
-	e.insertReplacer(c, block, id)
+	e.insert(c, block, id)
 }
 
 // touch refreshes LRU recency in finite mode and keeps the block's sparse
@@ -424,31 +424,12 @@ func (e *DirEngine) touchFinite(c int, id blockid.ID) {
 	}
 }
 
-// insertReplacer records residency in finite mode, handling the eviction of
-// a victim block: write it back if dirty, drop it from ground truth, and
-// send the directory a replacement hint.
-func (e *DirEngine) insertReplacer(c int, block uint64, id blockid.ID) {
-	if e.replacers == nil {
-		return
+// insert records residency in finite mode through the core's eviction
+// path, then sends the directory a replacement hint for a dropped victim.
+func (e *DirEngine) insert(c int, block uint64, id blockid.ID) {
+	if victim, dropped := e.engineCore.insert(c, block, id); dropped {
+		e.store.Remove(victim, c)
 	}
-	victim, evicted := e.replacers[c].Insert(block, id)
-	if !evicted {
-		return
-	}
-	e.stats.Evictions++
-	e.state.ensure(victim)
-	st := &e.state
-	if st.sharers[victim].Empty() {
-		return
-	}
-	if st.dirty[victim] && int(st.owner[victim]) == c {
-		e.emit(bus.OpWriteBack)
-		e.stats.EvictionWriteBacks++
-		st.dirty[victim] = false
-		st.owner[victim] = -1
-	}
-	st.sharers[victim].Remove(c)
-	e.store.Remove(victim, c)
 }
 
 // CheckInvariants implements Engine.

@@ -37,30 +37,8 @@ type Dragon struct {
 
 	// threshold is competitive update's k: a copy that absorbs k foreign
 	// updates without a local access drops out. Zero (Dragon, Firefly)
-	// updates forever.
+	// updates forever. The counters live in the core's blockStates.
 	threshold int
-	// unused counts, when threshold > 0, each holder's updates absorbed
-	// since its last local access, as a flattened [id × caches] matrix.
-	// A non-holder's counter is always zero (the map representation this
-	// replaced deleted the entry instead).
-	unused []int32
-}
-
-// ensure grows the per-block state to cover id. It stays small enough to
-// inline on every reference; the growth itself is outlined in growTo.
-func (e *Dragon) ensure(id blockid.ID) {
-	if int(id) >= len(e.state.sharers) {
-		e.growTo(id)
-	}
-}
-
-// growTo is ensure's slow path: the ground truth, then the counters when
-// there is a threshold.
-func (e *Dragon) growTo(id blockid.ID) {
-	e.state.growTo(id)
-	if e.threshold > 0 {
-		e.unused = grow(e.unused, len(e.state.sharers)*e.cfg.Caches)
-	}
 }
 
 // NewDragon returns a Dragon engine.
@@ -102,6 +80,9 @@ func newUpdateEngine(name string, updatesMemory bool, threshold int, cfg Config)
 	if err != nil {
 		return nil, err
 	}
+	if threshold > 0 {
+		core.state.stride = cfg.Caches
+	}
 	return &Dragon{engineCore: core, updatesMemory: updatesMemory, threshold: threshold}, nil
 }
 
@@ -131,11 +112,11 @@ func (e *Dragon) AccessID(c int, kind trace.Kind, block uint64, id blockid.ID, f
 }
 
 func (e *Dragon) read(c int, block uint64, id blockid.ID, first bool) {
-	e.ensure(id)
+	e.state.ensure(id)
 	st := &e.state
 	if st.sharers[id].Contains(c) {
 		e.event(events.ReadHit)
-		e.used(id, c)
+		e.state.used(id, c)
 		e.touch(c, id)
 		return
 	}
@@ -165,11 +146,11 @@ func (e *Dragon) read(c int, block uint64, id blockid.ID, first bool) {
 }
 
 func (e *Dragon) write(c int, block uint64, id blockid.ID, first bool) {
-	e.ensure(id)
+	e.state.ensure(id)
 	st := &e.state
 	if st.sharers[id].Contains(c) {
 		e.touch(c, id)
-		e.used(id, c)
+		e.state.used(id, c)
 		if st.sharers[id].ContainsOther(c) {
 			// The shared line is pulled: broadcast the word so other
 			// copies stay current.
@@ -219,53 +200,29 @@ func (e *Dragon) update(id blockid.ID, writer int) {
 	if e.threshold == 0 {
 		return
 	}
-	base := int(id) * e.cfg.Caches
-	sh := &e.state.sharers[id]
+	st := &e.state
+	base := int(id) * st.stride
+	sh := &st.sharers[id]
 	// Dropping h mid-loop is safe: Next only looks forward from h+1.
 	for h := sh.Next(0); h >= 0; h = sh.Next(h + 1) {
 		if h == writer {
 			continue
 		}
-		e.unused[base+h]++
-		if int(e.unused[base+h]) < e.threshold {
+		st.unused[base+h]++
+		if int(st.unused[base+h]) < e.threshold {
 			continue
 		}
 		sh.Remove(h)
-		e.unused[base+h] = 0
+		st.unused[base+h] = 0
 		e.stats.PointerEvictions++ // reuse the "copies dropped by policy" counter
 		e.removeFromReplacer(h, id)
 	}
 }
 
-// used zeroes cache c's count of updates absorbed for the block: its
-// processor touched it, or its copy came or went.
-func (e *Dragon) used(id blockid.ID, c int) {
-	if e.threshold > 0 {
-		e.unused[int(id)*e.cfg.Caches+c] = 0
-	}
-}
-
 func (e *Dragon) fill(c int, block uint64, id blockid.ID) {
 	e.state.sharers[id].Add(c)
-	e.used(id, c)
-	if e.replacers == nil {
-		return
-	}
-	victim, evicted := e.replacers[c].Insert(block, id)
-	if !evicted {
-		return
-	}
-	e.stats.Evictions++
-	e.ensure(victim)
-	st := &e.state
-	st.sharers[victim].Remove(c)
-	e.used(victim, c)
-	if st.sharers[victim].Empty() && st.dirty[victim] {
-		// Last holder of a block memory does not have: flush it.
-		e.emit(bus.OpWriteBack)
-		e.stats.EvictionWriteBacks++
-		st.dirty[victim] = false
-	}
+	e.state.used(id, c)
+	e.insert(c, block, id)
 }
 
 // CheckInvariants implements Engine.
@@ -282,9 +239,9 @@ func (e *Dragon) CheckInvariants() error {
 		if e.threshold == 0 {
 			continue
 		}
-		base := i * e.cfg.Caches
-		for c := 0; c < e.cfg.Caches; c++ {
-			n := int(e.unused[base+c])
+		base := i * e.state.stride
+		for c := 0; c < e.state.stride; c++ {
+			n := int(e.state.unused[base+c])
 			if n != 0 && !e.state.sharers[i].Contains(c) {
 				return fmt.Errorf("%s: block %#x counter for non-holder %d", e.name, e.tab.Block(id), c)
 			}

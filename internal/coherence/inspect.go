@@ -30,8 +30,6 @@ var (
 	_ Inspector = (*Berkeley)(nil)
 	_ Inspector = (*SnoopyInval)(nil)
 	_ Inspector = (*Dragon)(nil)
-	_ Inspector = (*MOESI)(nil)
-	_ Inspector = (*ReadBroadcast)(nil)
 	_ Inspector = (*NUMAEngine)(nil)
 )
 
@@ -42,14 +40,12 @@ var (
 	_ IndexedEngine = (*Berkeley)(nil)
 	_ IndexedEngine = (*SnoopyInval)(nil)
 	_ IndexedEngine = (*Dragon)(nil)
-	_ IndexedEngine = (*MOESI)(nil)
-	_ IndexedEngine = (*ReadBroadcast)(nil)
 	_ IndexedEngine = (*NUMAEngine)(nil)
 )
 
-// StateKey implements Inspector for the families whose ground truth is
-// their whole state: the snoopy invalidation engines and MOESI carry no
-// directory, and Dragon and Firefly no counters.
+// StateKey implements Inspector for the families whose blockStates are
+// their whole state: the snoopy engines, whose snarfer sets and update
+// counters live there too, and the interleaved NUMA engine.
 func (k *engineCore) StateKey(blocks []uint64) string {
 	return k.stateKey(blocks, k.state.appendKey)
 }
@@ -87,43 +83,5 @@ func (e *DirEngine) StateKey(blocks []uint64) string {
 		if ok {
 			b.WriteString(e.store.BlockKey(id))
 		}
-	})
-}
-
-// StateKey implements Inspector: holder set and staleness (an update
-// protocol has no single owner — every copy is current), plus, under a
-// threshold, every holder's absorbed-update counter. A counter exists
-// exactly for the holders (it is zeroed when a copy drops), so iterating
-// the sharer set ascending matches the sorted-key order the map
-// representation printed.
-func (e *Dragon) StateKey(blocks []uint64) string {
-	if e.threshold == 0 {
-		return e.engineCore.StateKey(blocks)
-	}
-	return e.stateKey(blocks, func(b *strings.Builder, id blockid.ID, ok bool) {
-		e.state.appendKey(b, id, ok)
-		if !e.state.live(id, ok) {
-			return
-		}
-		base := int(id) * e.cfg.Caches
-		sh := &e.state.sharers[id]
-		for h := sh.Next(0); h >= 0; h = sh.Next(h + 1) {
-			fmt.Fprintf(b, "u%d=%d", h, e.unused[base+h])
-		}
-	})
-}
-
-// StateKey implements Inspector: holder set, written state, and the
-// snarfer set waiting to refill off the next bus read. A block renders as
-// "-" only when it has neither holders nor snarfers.
-func (e *ReadBroadcast) StateKey(blocks []uint64) string {
-	return e.stateKey(blocks, func(b *strings.Builder, id blockid.ID, ok bool) {
-		if !ok || int(id) >= len(e.snarfers) || e.snarfers[id].Empty() {
-			e.state.appendKey(b, id, ok)
-			return
-		}
-		e.state.appendHolders(b, id)
-		b.WriteString("s")
-		b.WriteString(e.snarfers[id].String())
 	})
 }

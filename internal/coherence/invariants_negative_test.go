@@ -57,7 +57,7 @@ func TestCheckInvariantsFiresOnCorruption(t *testing.T) {
 			return "stale"
 		}},
 		{"moesi", func(t *testing.T, e Engine) string {
-			m := e.(*MOESI)
+			m := e.(*SnoopyInval)
 			id, _ := m.tab.Lookup(blk)
 			m.state.dirty[id] = true
 			m.state.owner[id] = 3 // holds no copy
@@ -67,14 +67,14 @@ func TestCheckInvariantsFiresOnCorruption(t *testing.T) {
 			// An update counter for a cache that holds no copy.
 			c := e.(*Dragon)
 			id, _ := c.tab.Lookup(blk)
-			c.unused[int(id)*c.cfg.Caches+3] = 1
+			c.state.unused[int(id)*c.cfg.Caches+3] = 1
 			return "non-holder"
 		}},
 		{"readbroadcast", func(t *testing.T, e Engine) string {
 			// A cache cannot both hold the block and wait to snarf it.
-			r := e.(*ReadBroadcast)
+			r := e.(*SnoopyInval)
 			id, _ := r.tab.Lookup(blk)
-			r.snarfers[id].Add(0)
+			r.state.snarfers[id].Add(0)
 			return "snarfer"
 		}},
 	}

@@ -86,7 +86,7 @@ func pricer(e, basis Engine) func() *Stats {
 		}
 		return e.broadcastPricer(basis)
 	case *SnoopyInval:
-		if !e.cfg.Finite() && mrswBasis(basis, e.cfg) {
+		if e.mrsw() && !e.cfg.Finite() && mrswBasis(basis, e.cfg) {
 			return func() *Stats { return e.price(basis.Stats()) }
 		}
 	}
@@ -128,7 +128,7 @@ func neverEvicts(basis Engine) *DirEngine {
 // under infinite caches.
 func mrswBasis(basis Engine, cfg Config) bool {
 	if b, ok := basis.(*SnoopyInval); ok {
-		return b.cfg == cfg
+		return b.mrsw() && b.cfg == cfg
 	}
 	d := neverEvicts(basis)
 	return d != nil && d.cfg == cfg && cfg.DirEntries == 0
