@@ -509,8 +509,8 @@ func TestVerifyCellDocAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if allocs > 145 {
-		t.Errorf("VerifyCellDoc: %.0f allocations, want at most 145", allocs)
+	if allocs > 122 {
+		t.Errorf("VerifyCellDoc: %.0f allocations, want at most 122", allocs)
 	}
 }
 

@@ -96,7 +96,6 @@ func (p *SharingProfile) addWeighted(k int, n uint64) {
 		p.RefWeightedDegree.Counts = append(p.RefWeightedDegree.Counts, 0)
 	}
 	p.RefWeightedDegree.Counts[k] += n
-	p.RefWeightedDegree.addTotal(n)
 }
 
 // SharedBlockFraction returns the fraction of data blocks touched by more

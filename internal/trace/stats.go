@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -149,10 +148,10 @@ func (s Stats) ReadWriteRatio() float64 {
 
 // Histogram is an integer-bucketed histogram with a dense bucket slice.
 // Bucket i counts observations of value i; values beyond the last bucket
-// grow the slice.
+// grow the slice. The buckets are the whole state: the observation count
+// is their sum, so a decoded histogram can never disagree with itself.
 type Histogram struct {
-	Counts []uint64
-	total  uint64
+	Counts []uint64 `json:"counts"`
 }
 
 // Observe records one observation of value v (v ≥ 0).
@@ -164,42 +163,50 @@ func (h *Histogram) Observe(v int) {
 		h.Counts = append(h.Counts, 0)
 	}
 	h.Counts[v]++
-	h.total++
 }
 
 // Total returns the number of observations.
-func (h *Histogram) Total() uint64 { return h.total }
+func (h *Histogram) Total() uint64 {
+	var n uint64
+	for _, c := range h.Counts {
+		n += c
+	}
+	return n
+}
 
 // Fraction returns the fraction of observations with value v.
 func (h *Histogram) Fraction(v int) float64 {
-	if h.total == 0 || v < 0 || v >= len(h.Counts) {
+	total := h.Total()
+	if total == 0 || v < 0 || v >= len(h.Counts) {
 		return 0
 	}
-	return float64(h.Counts[v]) / float64(h.total)
+	return float64(h.Counts[v]) / float64(total)
 }
 
 // CumulativeFraction returns the fraction of observations with value ≤ v.
 func (h *Histogram) CumulativeFraction(v int) float64 {
-	if h.total == 0 {
+	total := h.Total()
+	if total == 0 {
 		return 0
 	}
 	var sum uint64
 	for i := 0; i <= v && i < len(h.Counts); i++ {
 		sum += h.Counts[i]
 	}
-	return float64(sum) / float64(h.total)
+	return float64(sum) / float64(total)
 }
 
 // Mean returns the mean observed value.
 func (h *Histogram) Mean() float64 {
-	if h.total == 0 {
+	total := h.Total()
+	if total == 0 {
 		return 0
 	}
 	var sum uint64
 	for v, c := range h.Counts {
 		sum += uint64(v) * c
 	}
-	return float64(sum) / float64(h.total)
+	return float64(sum) / float64(total)
 }
 
 // Max returns the largest observed value, or -1 if empty.
@@ -212,37 +219,6 @@ func (h *Histogram) Max() int {
 	return -1
 }
 
-// addTotal adjusts the observation count when buckets are filled in bulk.
-func (h *Histogram) addTotal(n uint64) { h.total += n }
-
-// histogramJSON is the wire form of a Histogram. The observation count is
-// not serialised: it is, invariantly, the sum of the buckets, and
-// recomputing it on decode means a histogram can never arrive with the
-// two out of step.
-type histogramJSON struct {
-	Counts []uint64 `json:"counts"`
-}
-
-// MarshalJSON encodes the bucket slice; see histogramJSON.
-func (h Histogram) MarshalJSON() ([]byte, error) {
-	return json.Marshal(histogramJSON{Counts: h.Counts})
-}
-
-// UnmarshalJSON decodes the bucket slice and recomputes the observation
-// count, so Mean, Fraction and Total keep working on a decoded histogram.
-func (h *Histogram) UnmarshalJSON(data []byte) error {
-	var w histogramJSON
-	if err := json.Unmarshal(data, &w); err != nil {
-		return err
-	}
-	h.Counts = w.Counts
-	h.total = 0
-	for _, c := range w.Counts {
-		h.total += c
-	}
-	return nil
-}
-
 // Add accumulates other into h.
 func (h *Histogram) Add(other *Histogram) {
 	for v, c := range other.Counts {
@@ -251,7 +227,6 @@ func (h *Histogram) Add(other *Histogram) {
 		}
 		h.Counts[v] += c
 	}
-	h.total += other.total
 }
 
 // TopPIDs returns the n most frequent process IDs in the trace, for
