@@ -6,7 +6,14 @@
 // Berkeley Ownership cost model derived in Section 5. Beyond the paper it
 // adds the snoopy protocols MESI, MOESI, Write-Once, Firefly, competitive
 // update (Dragon with a self-invalidation threshold, NewCompetitive) and
-// Rudolph–Segall read broadcast (ReadBroadcast).
+// Rudolph–Segall read broadcast (NewReadBroadcast).
+//
+// Three engine families run them all, one per state-change model:
+// DirEngine for the directories (and Berkeley, which wraps Dir0B),
+// SnoopyInval for the snoopy invalidation protocols, where MOESI's Owned
+// state and read broadcast's snarfing are two features of the one engine,
+// and Dragon for the update protocols. Each embeds one shared core that
+// holds the per-block state and the one finite-cache eviction path.
 //
 // An engine consumes one classified memory reference at a time and
 // maintains two things:
