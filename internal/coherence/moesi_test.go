@@ -131,6 +131,11 @@ func (o *moesiOracle) hold(block uint64, c int) {
 	o.holders[block][c] = true
 }
 
+func (o *moesiOracle) key(block uint64) string {
+	owner, ok := o.stale[block]
+	return setKey(o.holders[block]) + "/" + ownerKey(owner, ok)
+}
+
 func (o *moesiOracle) predict(c int, kind trace.Kind, block uint64, first bool) events.Type {
 	if kind == trace.Instr {
 		return events.Instr

@@ -8,6 +8,9 @@ package coherence
 // nothing about directories, stores, or bus operations.
 
 import (
+	"fmt"
+	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -15,9 +18,36 @@ import (
 	"dirsim/internal/trace"
 )
 
-// oracle predicts the classification of the next reference.
+// oracle predicts the classification of the next reference. key renders
+// its state for one block canonically, so the model checker can tell
+// oracle states apart (export_test.go pairs an oracle with its engine).
 type oracle interface {
 	predict(c int, kind trace.Kind, block uint64, first bool) events.Type
+	key(block uint64) string
+}
+
+// setKey renders a cache set in ascending order: "{0,2}".
+func setKey(set map[int]bool) string {
+	var cs []int
+	for c, in := range set {
+		if in {
+			cs = append(cs, c)
+		}
+	}
+	sort.Ints(cs)
+	parts := make([]string, len(cs))
+	for i, c := range cs {
+		parts[i] = fmt.Sprint(c)
+	}
+	return "{" + strings.Join(parts, ",") + "}"
+}
+
+// ownerKey renders an owner that is present iff ok, "-" otherwise.
+func ownerKey(owner int, ok bool) string {
+	if !ok {
+		return "-"
+	}
+	return fmt.Sprint(owner)
 }
 
 // mrswOracle models the multiple-readers/single-writer family (Dir0B,
@@ -36,6 +66,11 @@ func (o *mrswOracle) hold(block uint64, c int) {
 		o.holders[block] = map[int]bool{}
 	}
 	o.holders[block][c] = true
+}
+
+func (o *mrswOracle) key(block uint64) string {
+	owner, ok := o.dirty[block]
+	return setKey(o.holders[block]) + "/" + ownerKey(owner, ok)
 }
 
 func (o *mrswOracle) predict(c int, kind trace.Kind, block uint64, first bool) events.Type {
@@ -100,6 +135,11 @@ func newExclusive() *exclusiveOracle {
 	return &exclusiveOracle{holder: map[uint64]int{}, dirty: map[uint64]bool{}}
 }
 
+func (o *exclusiveOracle) key(block uint64) string {
+	h, ok := o.holder[block]
+	return fmt.Sprintf("%s/%v", ownerKey(h, ok), o.dirty[block])
+}
+
 func (o *exclusiveOracle) predict(c int, kind trace.Kind, block uint64, first bool) events.Type {
 	if kind == trace.Instr {
 		return events.Instr
@@ -161,6 +201,10 @@ func (o *dragonOracle) hold(block uint64, c int) {
 		o.holders[block] = map[int]bool{}
 	}
 	o.holders[block][c] = true
+}
+
+func (o *dragonOracle) key(block uint64) string {
+	return fmt.Sprintf("%s/%v", setKey(o.holders[block]), o.stale[block])
 }
 
 func (o *dragonOracle) predict(c int, kind trace.Kind, block uint64, first bool) events.Type {

@@ -116,6 +116,11 @@ func (o *rbOracle) snarfAll(block uint64) {
 	delete(o.snarfers, block)
 }
 
+func (o *rbOracle) key(block uint64) string {
+	owner, ok := o.dirty[block]
+	return setKey(o.holders[block]) + "/" + ownerKey(owner, ok) + "/" + setKey(o.snarfers[block])
+}
+
 func (o *rbOracle) predict(c int, kind trace.Kind, block uint64, first bool) events.Type {
 	if kind == trace.Instr {
 		return events.Instr
