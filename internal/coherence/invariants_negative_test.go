@@ -7,7 +7,7 @@ import (
 	"dirsim/internal/trace"
 )
 
-// The soundness tests (oracle, exhaustive, internal/mc) prove the checkers
+// The soundness tests (the oracles, internal/mc) prove the checkers
 // stay silent on legal state. This file proves the other half: each engine
 // family's CheckInvariants actually fires when its state is corrupted, so
 // a silent checker can never be mistaken for a sound protocol.

@@ -196,12 +196,3 @@ func TestOracleMOESI(t *testing.T) {
 		func() (Engine, error) { return NewMOESI(Config{Caches: 5}) },
 		func() oracle { return newMOESIOracle() })
 }
-
-func TestExhaustiveMOESI(t *testing.T) {
-	if testing.Short() {
-		t.Skip("exhaustive enumeration skipped in -short mode")
-	}
-	exhaustCheck(t, 9,
-		func() (Engine, error) { return NewMOESI(Config{Caches: 2}) },
-		func() oracle { return newMOESIOracle() })
-}

@@ -186,12 +186,3 @@ func TestOracleReadBroadcast(t *testing.T) {
 		func() (Engine, error) { return NewReadBroadcast(Config{Caches: 5}) },
 		func() oracle { return newRBOracle() })
 }
-
-func TestExhaustiveReadBroadcast(t *testing.T) {
-	if testing.Short() {
-		t.Skip("exhaustive enumeration skipped in -short mode")
-	}
-	exhaustCheck(t, 9,
-		func() (Engine, error) { return NewReadBroadcast(Config{Caches: 2}) },
-		func() oracle { return newRBOracle() })
-}

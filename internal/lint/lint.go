@@ -5,7 +5,7 @@
 // with hardware costs — is only meaningful if every simulator run is
 // deterministic and every protocol transition is sound. The rules here
 // guard those properties statically, before a run, complementing the
-// dynamic checks (oracle tests, exhaustive enumeration, internal/mc):
+// dynamic checks (oracle tests and internal/mc's state search):
 //
 //   - determinism (maporder, nondeterm, floateq): no ordered output built
 //     from map iteration, no global math/rand or wall clock in internal

@@ -3,16 +3,19 @@
 // graph over a small fixed universe of caches and blocks, checking every
 // engine invariant at every reachable state.
 //
-// The exhaustive tests in internal/coherence enumerate reference
-// *sequences* to a fixed depth — 4^9 runs, most of which revisit the same
-// handful of states. mc instead enumerates *states*: a node is the
-// engine's canonical protocol state (coherence.Inspector.StateKey — ground
-// truth plus directory memory) combined with the set of blocks already
-// referenced (the `first` flag is part of the transition function), and an
-// edge is one classified memory reference. The visited set makes the
+// Enumerating reference *sequences* to a fixed depth revisits the same
+// handful of states many times and sees nothing past its depth. mc instead
+// enumerates *states*: a node is the engine's canonical protocol state
+// (coherence.Inspector.StateKey — ground truth plus directory memory)
+// combined with the set of blocks already referenced (the `first` flag is
+// part of the transition function), and an edge is one classified memory
+// reference. The visited set makes the
 // exploration exhaustive over the reachable graph regardless of depth, the
 // way the BedRock-style protocol verifications validate coherence
-// protocols by state-space search rather than sampling.
+// protocols by state-space search rather than sampling. Explore takes any
+// inspectable engine, so internal/coherence's tests also explore each
+// engine paired with its independent oracle, a product whose invariant
+// check includes the two classifying every reference alike.
 //
 // Because engines are deterministic and not clonable, nodes are
 // re-materialised by replaying the shortest action path from the initial
