@@ -115,19 +115,6 @@ func (s *Set) Clear() {
 	}
 }
 
-// Min returns the smallest element and true, or (0, false) if empty.
-func (s *Set) Min() (int, bool) {
-	if s.w0 != 0 {
-		return bits.TrailingZeros64(s.w0), true
-	}
-	for wi, w := range s.hi {
-		if w != 0 {
-			return (wi+1)*wordBits + bits.TrailingZeros64(w), true
-		}
-	}
-	return 0, false
-}
-
 // Max returns the largest element and true, or (0, false) if empty.
 func (s *Set) Max() (int, bool) {
 	for wi := len(s.hi) - 1; wi >= 0; wi-- {

@@ -73,17 +73,11 @@ func TestAddIdempotent(t *testing.T) {
 
 func TestMinMax(t *testing.T) {
 	s := New(128)
-	if _, ok := s.Min(); ok {
-		t.Fatal("Min on empty set returned ok")
-	}
 	if _, ok := s.Max(); ok {
 		t.Fatal("Max on empty set returned ok")
 	}
 	for _, i := range []int{90, 5, 64} {
 		s.Add(i)
-	}
-	if min, ok := s.Min(); !ok || min != 5 {
-		t.Fatalf("Min = %d,%v want 5,true", min, ok)
 	}
 	if max, ok := s.Max(); !ok || max != 90 {
 		t.Fatalf("Max = %d,%v want 90,true", max, ok)
@@ -240,7 +234,7 @@ func TestQuickAgainstMapModel(t *testing.T) {
 	}
 }
 
-// Property: Count equals the length of Elems, and Min/Max bound all elements.
+// Property: Count equals the length of Elems, and Max bounds all elements.
 func TestQuickCountMinMaxConsistency(t *testing.T) {
 	f := func(raw []uint16) bool {
 		s := New(0)
@@ -252,13 +246,11 @@ func TestQuickCountMinMaxConsistency(t *testing.T) {
 			return false
 		}
 		if len(elems) == 0 {
-			_, okMin := s.Min()
-			_, okMax := s.Max()
-			return !okMin && !okMax
+			_, ok := s.Max()
+			return !ok
 		}
-		min, _ := s.Min()
 		max, _ := s.Max()
-		return min == elems[0] && max == elems[len(elems)-1]
+		return max == elems[len(elems)-1]
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

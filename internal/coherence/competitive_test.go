@@ -17,8 +17,8 @@ func TestCompetitiveValidation(t *testing.T) {
 		t.Error("invalid machine config accepted")
 	}
 	e := must(NewCompetitive(3, cfg4()))
-	if e.Name() != "Competitive3" || e.Threshold() != 3 {
-		t.Errorf("engine = %s/%d", e.Name(), e.Threshold())
+	if e.Name() != "Competitive3" {
+		t.Errorf("engine = %s", e.Name())
 	}
 }
 

@@ -86,10 +86,6 @@ func newUpdateEngine(name string, updatesMemory bool, threshold int, cfg Config)
 	return &Dragon{engineCore: core, updatesMemory: updatesMemory, threshold: threshold}, nil
 }
 
-// Threshold returns the self-invalidation threshold k; 0 for a protocol
-// that updates forever.
-func (e *Dragon) Threshold() int { return e.threshold }
-
 // Access implements Engine: intern the block and delegate to AccessID.
 func (e *Dragon) Access(c int, kind trace.Kind, block uint64, first bool) events.Type {
 	return e.AccessID(c, kind, block, e.intern(kind, block), first)

@@ -34,15 +34,6 @@ func DropLockSpins(rd Reader) Reader {
 	return Filter(rd, func(r Ref) bool { return !r.Lock })
 }
 
-// DropInstructions removes instruction fetches, leaving the data stream.
-func DropInstructions(rd Reader) Reader {
-	return Filter(rd, func(r Ref) bool { return r.Kind != Instr })
-}
-
-// DataOnly is an alias for DropInstructions, matching the paper's focus on
-// data references for consistency traffic.
-func DataOnly(rd Reader) Reader { return DropInstructions(rd) }
-
 // Limit yields at most n references from rd.
 func Limit(rd Reader, n int) Reader {
 	return &limitReader{rd: rd, remain: n}
@@ -62,49 +53,5 @@ func (l *limitReader) Next() (Ref, error) {
 		return Ref{}, err
 	}
 	l.remain--
-	return ref, nil
-}
-
-// Concat yields the references of each reader in turn.
-func Concat(readers ...Reader) Reader {
-	return &concatReader{readers: readers}
-}
-
-type concatReader struct {
-	readers []Reader
-}
-
-func (c *concatReader) Next() (Ref, error) {
-	for len(c.readers) > 0 {
-		ref, err := c.readers[0].Next()
-		if err == io.EOF {
-			c.readers = c.readers[1:]
-			continue
-		}
-		return ref, err
-	}
-	return Ref{}, io.EOF
-}
-
-// RemapCPU rewrites each reference's CPU through the supplied mapping. It is
-// useful for folding a trace onto fewer processors. Missing CPUs map to
-// themselves.
-func RemapCPU(rd Reader, mapping map[uint8]uint8) Reader {
-	return &remapReader{rd: rd, mapping: mapping}
-}
-
-type remapReader struct {
-	rd      Reader
-	mapping map[uint8]uint8
-}
-
-func (m *remapReader) Next() (Ref, error) {
-	ref, err := m.rd.Next()
-	if err != nil {
-		return Ref{}, err
-	}
-	if to, ok := m.mapping[ref.CPU]; ok {
-		ref.CPU = to
-	}
 	return ref, nil
 }

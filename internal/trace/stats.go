@@ -3,7 +3,6 @@ package trace
 import (
 	"fmt"
 	"io"
-	"sort"
 )
 
 // Stats summarises a trace in the form of the paper's Table 3, extended with
@@ -227,27 +226,4 @@ func (h *Histogram) Add(other *Histogram) {
 		}
 		h.Counts[v] += c
 	}
-}
-
-// TopPIDs returns the n most frequent process IDs in the trace, for
-// diagnostics. Ties break toward smaller PIDs.
-func TopPIDs(refs []Ref, n int) []uint16 {
-	counts := map[uint16]int{}
-	for _, r := range refs {
-		counts[r.PID]++
-	}
-	pids := make([]uint16, 0, len(counts))
-	for p := range counts {
-		pids = append(pids, p)
-	}
-	sort.Slice(pids, func(i, j int) bool {
-		if counts[pids[i]] != counts[pids[j]] {
-			return counts[pids[i]] > counts[pids[j]]
-		}
-		return pids[i] < pids[j]
-	})
-	if len(pids) > n {
-		pids = pids[:n]
-	}
-	return pids
 }

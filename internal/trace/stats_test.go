@@ -205,19 +205,3 @@ func TestHistogramNegativePanics(t *testing.T) {
 	var h Histogram
 	h.Observe(-1)
 }
-
-func TestTopPIDs(t *testing.T) {
-	refs := []Ref{
-		{PID: 3}, {PID: 3}, {PID: 3},
-		{PID: 1}, {PID: 1},
-		{PID: 2}, {PID: 9}, {PID: 9},
-	}
-	got := TopPIDs(refs, 2)
-	if len(got) != 2 || got[0] != 3 {
-		t.Fatalf("TopPIDs = %v", got)
-	}
-	// 1 and 9 tie at 2 refs; smaller PID wins second place.
-	if got[1] != 1 {
-		t.Fatalf("TopPIDs tie break = %v", got)
-	}
-}

@@ -150,21 +150,6 @@ func TestFilterDropLockSpins(t *testing.T) {
 	}
 }
 
-func TestFilterDropInstructions(t *testing.T) {
-	src := Slice{
-		{Kind: Instr, Addr: 1},
-		{Kind: Read, Addr: 2},
-		{Kind: Instr, Addr: 3},
-	}
-	got, err := ReadAll(DataOnly(NewSliceReader(src)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0].Addr != 2 {
-		t.Fatalf("DataOnly = %v", got)
-	}
-}
-
 func TestLimit(t *testing.T) {
 	src := Slice{{Addr: 1}, {Addr: 2}, {Addr: 3}}
 	got, err := ReadAll(Limit(NewSliceReader(src), 2))
@@ -181,29 +166,5 @@ func TestLimit(t *testing.T) {
 	got, err = ReadAll(Limit(NewSliceReader(src), 10))
 	if err != nil || len(got) != 3 {
 		t.Fatalf("Limit(10) = %v, %v", got, err)
-	}
-}
-
-func TestConcat(t *testing.T) {
-	a := Slice{{Addr: 1}}
-	b := Slice{}
-	c := Slice{{Addr: 2}, {Addr: 3}}
-	got, err := ReadAll(Concat(NewSliceReader(a), NewSliceReader(b), NewSliceReader(c)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 || got[0].Addr != 1 || got[2].Addr != 3 {
-		t.Fatalf("Concat = %v", got)
-	}
-}
-
-func TestRemapCPU(t *testing.T) {
-	src := Slice{{CPU: 0, Addr: 1}, {CPU: 3, Addr: 2}, {CPU: 7, Addr: 3}}
-	got, err := ReadAll(RemapCPU(NewSliceReader(src), map[uint8]uint8{3: 1}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0].CPU != 0 || got[1].CPU != 1 || got[2].CPU != 7 {
-		t.Fatalf("RemapCPU = %v", got)
 	}
 }
