@@ -36,20 +36,28 @@ type Stats struct {
 	BlockBytes            int
 }
 
-// CollectStats drains rd and computes Stats using the given block size.
+// CollectStats drains rd and computes Stats using the given block size,
+// in one pass: a block is process-shared once a second PID references it,
+// so each block keeps its first PID and CPU and its data-reference count,
+// and each process its first CPU.
 func CollectStats(rd Reader, blockBytes int) (Stats, error) {
 	if !IsPow2(blockBytes) {
 		return Stats{}, fmt.Errorf("trace: block size %d is not a power of two", blockBytes)
 	}
 	st := Stats{BlockBytes: blockBytes}
-	cpus := map[uint8]bool{}
-	pidCPUs := map[uint16]map[uint8]bool{}
+	var cpus [256]bool
+	type procInfo struct {
+		cpu   uint8
+		moved bool
+	}
+	procs := map[uint16]procInfo{}
 	type blockInfo struct {
-		pids map[uint16]bool
-		cpus map[uint8]bool
+		pid                uint16
+		cpu                uint8
+		multiPID, multiCPU bool
+		refs               uint64
 	}
 	blocks := map[uint64]*blockInfo{}
-	var refs []Ref // second pass for shared-ref attribution
 	for {
 		r, err := rd.Next()
 		if err != nil {
@@ -59,11 +67,16 @@ func CollectStats(rd Reader, blockBytes int) (Stats, error) {
 			return Stats{}, err
 		}
 		st.Refs++
-		cpus[r.CPU] = true
-		if pidCPUs[r.PID] == nil {
-			pidCPUs[r.PID] = map[uint8]bool{}
+		if !cpus[r.CPU] {
+			cpus[r.CPU] = true
+			st.CPUs++
 		}
-		pidCPUs[r.PID][r.CPU] = true
+		if p, ok := procs[r.PID]; !ok {
+			procs[r.PID] = procInfo{cpu: r.CPU}
+		} else if !p.moved && p.cpu != r.CPU {
+			procs[r.PID] = procInfo{cpu: p.cpu, moved: true}
+			st.MigratedProcesses++
+		}
 		if r.Kernel {
 			st.Sys++
 		} else {
@@ -84,35 +97,23 @@ func CollectStats(rd Reader, blockBytes int) (Stats, error) {
 		b := Block(r.Addr, blockBytes)
 		bi := blocks[b]
 		if bi == nil {
-			bi = &blockInfo{pids: map[uint16]bool{}, cpus: map[uint8]bool{}}
+			bi = &blockInfo{pid: r.PID, cpu: r.CPU}
 			blocks[b] = bi
 		}
-		bi.pids[r.PID] = true
-		bi.cpus[r.CPU] = true
-		refs = append(refs, r)
+		bi.multiPID = bi.multiPID || r.PID != bi.pid
+		bi.multiCPU = bi.multiCPU || r.CPU != bi.cpu
+		bi.refs++
 	}
-	st.CPUs = len(cpus)
-	st.Processes = len(pidCPUs)
-	for _, set := range pidCPUs {
-		if len(set) > 1 {
-			st.MigratedProcesses++
-		}
-	}
+	st.Processes = len(procs)
 	st.DataBlocks = len(blocks)
-	sharedByPID := map[uint64]bool{}
-	for b, bi := range blocks {
-		if len(bi.pids) > 1 {
+	st.DataRefs = st.DataRd + st.DataWr
+	for _, bi := range blocks {
+		if bi.multiPID {
 			st.SharedBlocksByProcess++
-			sharedByPID[b] = true
+			st.RefsToSharedByProcess += bi.refs
 		}
-		if len(bi.cpus) > 1 {
+		if bi.multiCPU {
 			st.SharedBlocksByCPU++
-		}
-	}
-	for _, r := range refs {
-		st.DataRefs++
-		if sharedByPID[Block(r.Addr, blockBytes)] {
-			st.RefsToSharedByProcess++
 		}
 	}
 	return st, nil

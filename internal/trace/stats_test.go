@@ -77,16 +77,21 @@ func TestCollectStatsSharing(t *testing.T) {
 }
 
 func TestCollectStatsMigration(t *testing.T) {
+	// PID 5 moves twice and counts once; PID 6 stays on CPU 2.
 	tr := Slice{
 		{CPU: 0, PID: 5, Kind: Read, Addr: 0x10},
 		{CPU: 1, PID: 5, Kind: Read, Addr: 0x20},
+		{CPU: 2, PID: 6, Kind: Instr, Addr: 0x1000},
+		{CPU: 2, PID: 5, Kind: Instr, Addr: 0x1000},
+		{CPU: 2, PID: 6, Kind: Write, Addr: 0x20},
 	}
 	st, err := CollectStats(NewSliceReader(tr), 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.MigratedProcesses != 1 {
-		t.Errorf("MigratedProcesses = %d, want 1", st.MigratedProcesses)
+	if st.MigratedProcesses != 1 || st.Processes != 2 || st.CPUs != 3 {
+		t.Errorf("MigratedProcesses/Processes/CPUs = %d/%d/%d, want 1/2/3",
+			st.MigratedProcesses, st.Processes, st.CPUs)
 	}
 }
 
