@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: fmt build test perfbench-test race lint lint-sarif mc check fuzz bench bench-json bench-regress paper-smoke fault-smoke serve serve-smoke trace-smoke promscrape-smoke soak-smoke cluster-smoke
+.PHONY: fmt build test perfbench-test perfbench-smoke race lint lint-sarif mc check fuzz bench bench-json bench-regress paper-smoke fault-smoke serve serve-smoke trace-smoke promscrape-smoke soak-smoke cluster-smoke
 
 # Fails listing every file gofmt would change; CI's check job runs this
 # same target.
@@ -20,6 +20,19 @@ test:
 # perfbench/ is its own module, so ./... above skips it.
 perfbench-test:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+# Benchmark-of-record drill (same scenario CI runs): perfbench/run.sh
+# builds perfbench and cmd/tracecheck from this checkout, then runs one
+# short traced pass (replay's layers, serve, fleet and the probes, with
+# tracecheck validating the merged span file) and one short untraced run
+# per workload. A run exits 1 on a build failure, a failed correctness
+# tally, a wrapped span ring or a tracecheck failure, so a change that
+# breaks the benchmark fails here instead of going unmeasured.
+perfbench-smoke:
+	bash perfbench/run.sh --workload replay --seed 1 --seconds 1 --trace 1
+	for w in replay serve fleet; do \
+		bash perfbench/run.sh --workload $$w --seed 1 --seconds 1 --trace 0 || exit 1; \
+	done
 
 race:
 	$(GO) test -race ./...
@@ -48,7 +61,7 @@ mc:
 	$(GO) run ./cmd/dirsimlint -mc -blocks 2
 	$(GO) run ./cmd/dirsimlint -mc -caches 3 -blocks 2
 
-check: fmt build lint test perfbench-test race mc
+check: fmt build lint test perfbench-test perfbench-smoke race mc
 
 # Short local fuzz of the scheme registry (CI runs the seed corpus via
 # `go test`; this explores further).
