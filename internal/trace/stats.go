@@ -74,7 +74,8 @@ func CollectStats(rd Reader, blockBytes int) (Stats, error) {
 		if p, ok := procs[r.PID]; !ok {
 			procs[r.PID] = procInfo{cpu: r.CPU}
 		} else if !p.moved && p.cpu != r.CPU {
-			procs[r.PID] = procInfo{cpu: p.cpu, moved: true}
+			p.moved = true
+			procs[r.PID] = p
 			st.MigratedProcesses++
 		}
 		if r.Kernel {
