@@ -58,37 +58,44 @@ func TestOracleProduct(t *testing.T) {
 		t.Fatalf("%d cases, want 17", len(cases))
 	}
 
+	// One subtest per universe, one per engine beneath it: 2x1 is the
+	// single-block space the sequence enumeration covered, 2x2 the
+	// two-block one.
 	for _, opts := range universes {
-		for _, c := range cases {
-			opts, c := opts, c
-			t.Run(fmt.Sprintf("%dx%d/%s", opts.Caches, opts.Blocks, c.name), func(t *testing.T) {
-				t.Parallel()
-				product, err := mc.Explore(func() (coherence.Engine, error) {
-					e, err := c.mk(opts.Caches)
+		opts := opts
+		t.Run(fmt.Sprintf("%dx%d", opts.Caches, opts.Blocks), func(t *testing.T) {
+			t.Parallel()
+			for _, c := range cases {
+				c := c
+				t.Run(c.name, func(t *testing.T) {
+					t.Parallel()
+					product, err := mc.Explore(func() (coherence.Engine, error) {
+						e, err := c.mk(opts.Caches)
+						if err != nil {
+							return nil, err
+						}
+						paired, _ := coherence.WithOracle(e)
+						return paired, nil
+					}, opts)
 					if err != nil {
-						return nil, err
+						t.Fatal(err)
 					}
-					paired, _ := coherence.WithOracle(e)
-					return paired, nil
-				}, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(product.Violations) != 0 {
-					t.Fatalf("%d violations, first: %v", len(product.Violations), product.Violations[0])
-				}
-				if product.Truncated {
-					t.Fatalf("exploration truncated at %d nodes", product.Nodes)
-				}
-				bare, err := mc.Explore(func() (coherence.Engine, error) { return c.mk(opts.Caches) }, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if product.Nodes != bare.Nodes || product.Edges != bare.Edges {
-					t.Fatalf("product graph %d nodes, %d edges; bare engine %d, %d",
-						product.Nodes, product.Edges, bare.Nodes, bare.Edges)
-				}
-			})
-		}
+					if len(product.Violations) != 0 {
+						t.Fatalf("%d violations, first: %v", len(product.Violations), product.Violations[0])
+					}
+					if product.Truncated {
+						t.Fatalf("exploration truncated at %d nodes", product.Nodes)
+					}
+					bare, err := mc.Explore(func() (coherence.Engine, error) { return c.mk(opts.Caches) }, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if product.Nodes != bare.Nodes || product.Edges != bare.Edges {
+						t.Fatalf("product graph %d nodes, %d edges; bare engine %d, %d",
+							product.Nodes, product.Edges, bare.Nodes, bare.Edges)
+					}
+				})
+			}
+		})
 	}
 }
