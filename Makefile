@@ -1,9 +1,11 @@
 # Keep `check` equal to what CI runs: a clean checkout that passes
-# `make check` will pass the workflow.
+# `make check` will pass the workflow. `check` includes perfbench-ab, the
+# benchmark of record's A/B gate, against BASE, which defaults to the
+# merge base with origin/main (CI passes the PR's merge base).
 
 GO ?= go
 
-.PHONY: fmt build test perfbench-test perfbench-smoke race lint lint-sarif mc check fuzz bench bench-json bench-regress paper-smoke fault-smoke serve serve-smoke trace-smoke promscrape-smoke soak-smoke cluster-smoke
+.PHONY: fmt build test perfbench-test perfbench-ab bench-ledger race lint lint-sarif mc check fuzz paper-smoke fault-smoke serve serve-smoke trace-smoke promscrape-smoke soak-smoke cluster-smoke
 
 # Fails listing every file gofmt would change; CI's check job runs this
 # same target.
@@ -21,18 +23,49 @@ test:
 perfbench-test:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
-# Benchmark-of-record drill (same scenario CI runs): perfbench/run.sh
-# builds perfbench and cmd/tracecheck from this checkout, then runs one
-# short traced pass (replay's layers, serve, fleet and the probes, with
-# tracecheck validating the merged span file) and one short untraced run
-# per workload. A run exits 1 on a build failure, a failed correctness
-# tally, a wrapped span ring or a tracecheck failure, so a change that
-# breaks the benchmark fails here instead of going unmeasured.
-perfbench-smoke:
+# The benchmark of record's wall-time gate (same scenario CI runs). BASE
+# (default: the merge base with origin/main) is exported into
+# .bench_build/ab/src, whose run.sh builds from it; this working tree is
+# HEAD. After one short traced pass at HEAD, each workload runs AB_PAIRS
+# times per side, untraced, the sides taking turns to go first and pair i
+# on seed i; one-second runs spread by up to 31% of their median, too wide
+# for a single pair against the 0.25 bound. A run that exits nonzero fails
+# at once; cmd/benchjson fails any end-to-end metric whose HEAD median is
+# worse than BASE's by more than BENCHMARK.json's bound.
+AB_PAIRS = 5
+AB_SECONDS = 3
+BASE ?= $(shell git merge-base HEAD origin/main 2>/dev/null)
+perfbench-ab:
+	@test -n "$(BASE)" || { echo "perfbench-ab: no merge base with origin/main; pass BASE=<rev>" >&2; exit 2; }
+	rm -rf .bench_build/ab && mkdir -p .bench_build/ab/src .bench_build/ab/base .bench_build/ab/head
+	git archive "$(BASE)" | tar -x -C .bench_build/ab/src
 	bash perfbench/run.sh --workload replay --seed 1 --seconds 1 --trace 1
-	for w in replay serve fleet; do \
-		bash perfbench/run.sh --workload $$w --seed 1 --seconds 1 --trace 0 || exit 1; \
+	for i in $$(seq 1 $(AB_PAIRS)); do \
+		sides="base head"; [ $$((i % 2)) = 1 ] || sides="head base"; \
+		for w in replay serve fleet; do for side in $$sides; do \
+			echo "perfbench-ab: pair $$i, $$w, $$side"; \
+			root=.; [ $$side = head ] || root=.bench_build/ab/src; \
+			bash $$root/perfbench/run.sh --workload $$w --seed $$i --seconds $(AB_SECONDS) --trace 0 \
+				> .bench_build/ab/out || { cat .bench_build/ab/out; exit 1; }; \
+			tail -n 1 .bench_build/ab/out >> .bench_build/ab/$$side/$$w.jsonl; \
+		done; done; \
 	done
+	$(GO) run ./cmd/benchjson .bench_build/ab/base .bench_build/ab/head
+
+# Appends this checkout's line to the benchmark ledger, BENCH.json: the
+# result of one untraced run per workload and of one traced run, each of
+# BENCHMARK.json's run_seconds, with the commit and the CPU model.
+bench-ledger:
+	rm -rf .bench_build/ledger && mkdir -p .bench_build/ledger
+	set -e; secs=$$(sed -n 's/.*"run_seconds": *\([0-9]*\).*/\1/p' BENCHMARK.json); \
+	for run in replay:0 serve:0 fleet:0 replay:1; do \
+		bash perfbench/run.sh --workload $${run%:*} --seed 1 --seconds $$secs --trace $${run#*:} > .bench_build/ledger/out; \
+		tail -n 1 .bench_build/ledger/out > .bench_build/ledger/$$run; \
+	done; \
+	cd .bench_build/ledger; \
+	printf '{"commit":"%s","cpu":"%s","seconds":%s,"results":{"replay":%s,"serve":%s,"fleet":%s},"traced":%s}\n' \
+		"$$(git rev-parse HEAD)$$(git diff --quiet HEAD || echo -dirty)" "$$(sed -n 's/^model name[[:space:]]*: //p' /proc/cpuinfo | head -n 1)" \
+		"$$secs" "$$(cat replay:0)" "$$(cat serve:0)" "$$(cat fleet:0)" "$$(cat replay:1)" >> ../../BENCH.json
 
 race:
 	$(GO) test -race ./...
@@ -61,7 +94,7 @@ mc:
 	$(GO) run ./cmd/dirsimlint -mc -blocks 2
 	$(GO) run ./cmd/dirsimlint -mc -caches 3 -blocks 2
 
-check: fmt build lint test perfbench-test perfbench-smoke race mc
+check: fmt build lint test perfbench-test perfbench-ab race mc
 
 # Short local fuzz of the scheme registry (CI runs the seed corpus via
 # `go test`; this explores further).
@@ -315,20 +348,3 @@ promscrape-smoke:
 	trap - EXIT; \
 	grep -q 'drained cleanly' promscrape-smoke.tmp/daemon.log
 	rm -rf promscrape-smoke.tmp
-
-# Driver throughput baseline: sequential vs parallel lockstep simulation
-# over four schemes, recorded as a JSON benchmark log for comparison
-# across commits (CI runs the same benchmark once as a smoke test).
-bench:
-	$(GO) test -run '^$$' -bench SimulatorThroughput -benchtime 1x -json . | tee BENCH_throughput.json
-
-# Refresh the committed data-oriented-core baseline (BENCH_7.json):
-# re-measures the "after" section in place, preserving "before" (the
-# numbers the rewrite started from) and the documented tolerances.
-bench-json:
-	$(GO) test -run '^$$' -bench SimulatorThroughput -benchmem -benchtime 2s . | $(GO) run ./cmd/benchjson -out BENCH_7.json -phase after
-
-# What CI's bench-regress job runs: replay the benchmark and gate it
-# against the committed baseline's tolerances.
-bench-regress:
-	$(GO) test -run '^$$' -bench SimulatorThroughput -benchmem -benchtime 1s . | $(GO) run ./cmd/benchjson -check BENCH_7.json

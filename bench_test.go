@@ -12,7 +12,6 @@ package dirsim_test
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -30,13 +29,13 @@ var benchTraces = struct {
 	traces []dirsim.Trace
 }{}
 
-func loadBenchTraces(b *testing.B) ([]string, []dirsim.Trace) {
-	b.Helper()
+func loadBenchTraces(tb testing.TB) ([]string, []dirsim.Trace) {
+	tb.Helper()
 	benchTraces.once.Do(func() {
 		for _, cfg := range dirsim.Workloads(benchRefs) {
 			tr, err := dirsim.GenerateTrace(cfg)
 			if err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 			benchTraces.names = append(benchTraces.names, cfg.Name)
 			benchTraces.traces = append(benchTraces.traces, tr)
@@ -603,51 +602,63 @@ func BenchmarkExtensionLargerMachine(b *testing.B) {
 	b.ReportMetric(ptr1, "one_pointer_writes_pct_16p")
 }
 
-// Throughput benchmark: raw simulation speed of the batched driver over a
-// representative scheme mix, inline versus fanned out to workers, versus
-// inline with the flight recorder at its default sampling. The parallel
-// variant shards the engine set across GOMAXPROCS workers; results are
-// bitwise-identical to sequential (asserted in internal/sim's parallel
-// tests), so this measures pure driver overhead and scaling. The traced
-// variant measures the recorder's overhead: on a 2-core Xeon VM its
-// throughput was 0.86–1.09× sequential's over 8 paired runs (DESIGN.md
-// §7). It is reported, not gated.
+// throughputShapes are the runs BenchmarkSimulatorThroughput times and
+// TestSimulatorThroughputAllocs bounds, over the POPS bench trace on 4
+// caches: a scheme mix inline; one engine alone, the hot path with no
+// fan-out to amortize; the mix on two workers, bitwise-identical to inline
+// (internal/sim's parallel tests), so it measures driver overhead; and the
+// mix inline with a fresh flight recorder at its default sampling, as the
+// CLIs make one per run. maxAllocs is one run's count when the bound was
+// set, plus 10%: 228, 91, 246 and 276 on a 2-core Xeon VM, and at most
+// 230, 91, 248 and 277 under -race at GOMAXPROCS 2 and 4. The parallel
+// shape names its worker count, so its count does not follow the cores.
+var throughputShapes = []struct {
+	name      string
+	schemes   []string
+	opts      func() dirsim.Options
+	maxAllocs float64
+}{
+	{"sequential", throughputSchemes, func() dirsim.Options { return dirsim.Options{} }, 250},
+	{"single", []string{"dir0b"}, func() dirsim.Options { return dirsim.Options{} }, 100},
+	{"parallel", throughputSchemes, func() dirsim.Options { return dirsim.Options{Parallel: 2} }, 270},
+	{"traced", throughputSchemes, func() dirsim.Options {
+		return dirsim.Options{Recorder: flight.New(flight.Options{Sample: flight.DefaultSample})}
+	}, 302},
+}
+
+var throughputSchemes = []string{"dir1nb", "wti", "dir0b", "dragon"}
+
+// Throughput benchmark: ns/op and allocs/op of each throughputShapes run.
+// The traced shape ran at 0.86–1.09× sequential's throughput over 8 paired
+// runs on a 2-core Xeon VM (DESIGN.md §7). Nothing gates these timings.
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	_, traces := loadBenchTraces(b)
-	tr := traces[0]
-	schemes := []string{"dir1nb", "wti", "dir0b", "dragon"}
-	cfg := dirsim.EngineConfig{Caches: 4}
-	run := func(b *testing.B, mkOpts func() dirsim.Options) {
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := dirsim.RunSchemes(dirsim.NewTraceReader(tr), schemes, cfg, mkOpts()); err != nil {
-				b.Fatal(err)
+	for _, s := range throughputShapes {
+		b.Run(s.name, func(b *testing.B) {
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := dirsim.RunSchemes(dirsim.NewTraceReader(traces[0]), s.schemes, dirsim.EngineConfig{Caches: 4}, s.opts()); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-		// Engine-refs per second: each scheme consumes the full trace.
-		b.ReportMetric(float64(len(tr)*len(schemes))*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mrefs/s")
-	}
-	b.Run("sequential", func(b *testing.B) { run(b, func() dirsim.Options { return dirsim.Options{} }) })
-	b.Run("single", func(b *testing.B) {
-		// One engine, sequential: the per-reference cost of the hot path
-		// itself, with no fan-out amortization — the number the
-		// data-oriented engine rewrite is measured on (BENCH_*.json).
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := dirsim.RunSchemes(dirsim.NewTraceReader(tr), []string{"dir0b"}, cfg, dirsim.Options{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(len(tr))*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mrefs/s")
-	})
-	b.Run("parallel", func(b *testing.B) {
-		run(b, func() dirsim.Options { return dirsim.Options{Parallel: runtime.GOMAXPROCS(0)} })
-	})
-	b.Run("traced", func(b *testing.B) {
-		// A fresh recorder per run, as the CLIs do: rings and track
-		// tables belong to one run's trace.
-		run(b, func() dirsim.Options {
-			return dirsim.Options{Recorder: flight.New(flight.Options{Sample: flight.DefaultSample})}
 		})
-	})
+	}
+}
+
+// TestSimulatorThroughputAllocs holds each throughput shape's allocations
+// per run under its bound.
+func TestSimulatorThroughputAllocs(t *testing.T) {
+	_, traces := loadBenchTraces(t)
+	for _, s := range throughputShapes {
+		t.Run(s.name, func(t *testing.T) {
+			got := testing.AllocsPerRun(3, func() {
+				if _, err := dirsim.RunSchemes(dirsim.NewTraceReader(traces[0]), s.schemes, dirsim.EngineConfig{Caches: 4}, s.opts()); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if got > s.maxAllocs {
+				t.Errorf("%.0f allocations per run, bound %.0f", got, s.maxAllocs)
+			}
+		})
+	}
 }

@@ -1,257 +1,198 @@
-// Command benchjson turns `go test -bench -benchmem` text output into a
-// compact JSON baseline and checks fresh runs against a committed one.
+// Command benchjson is the wall-time gate of the benchmark of record. Run
+// from the checkout root, it compares perfbench result lines from a base
+// revision and from HEAD under the bounds BENCHMARK.json fixes:
 //
-// The baseline file (BENCH_*.json) records two phases per sub-benchmark —
-// "before" and "after" — so a performance PR carries its own evidence:
-// the numbers the rewrite started from and the numbers it landed at, with
-// B/op and allocs/op alongside throughput. CI replays the benchmark and
-// compares against the committed "after" phase:
+//	benchjson <base-dir> <head-dir>
 //
-//	go test -run '^$' -bench X -benchmem . | benchjson              # parse to stdout
-//	go test ... | benchjson -out BENCH_7.json -phase after          # record a phase
-//	go test ... | benchjson -check BENCH_7.json                     # gate a fresh run
-//
-// Tolerances live in the baseline file next to the numbers they guard.
-// The defaults are deliberately asymmetric: throughput may drop to half
-// the recorded value before failing, because shared CI runners are both
-// slower and noisier than the machine that recorded the baseline, while
-// allocs/op — which is deterministic for a fixed workload — may grow by
-// at most 10% before the gate trips.
+// Each directory holds <workload>.jsonl for every workload BENCHMARK.json
+// names, one perfbench JSON result line per run (`make perfbench-ab`
+// writes them). For every workload and end-to-end metric it takes the
+// median over each side's runs; HEAD's median may be worse than the
+// base's by at most the metric's bound, in the metric's better
+// direction. A run that is not correct, or that lacks a metric or
+// reports it in another unit, fails the comparison too. The exit status
+// is 1 when anything fails, and each failure names its workload and
+// metric.
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
-	"flag"
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
-
-	"dirsim/internal/atomicio"
 )
 
-// Result is one sub-benchmark's measurements.
-type Result struct {
-	Iterations  int     `json:"iterations"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	MrefsPerSec float64 `json:"mrefs_per_sec,omitempty"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
+// benchmark is the part of BENCHMARK.json the gate reads.
+type benchmark struct {
+	RunSeconds int `json:"run_seconds"`
+	Workloads  []struct {
+		Name string `json:"name"`
+	} `json:"workloads"`
+	EndToEnd []metricSpec `json:"end_to_end"`
 }
 
-// Tolerance bounds how far a fresh run may drift from the committed
-// "after" phase before -check fails.
-type Tolerance struct {
-	// MrefsFrac is the allowed fractional throughput drop: a run fails
-	// when measured < recorded*(1-MrefsFrac).
-	MrefsFrac float64 `json:"mrefs_frac"`
-	// AllocsFrac is the allowed fractional allocs/op growth: a run
-	// fails when measured > recorded*(1+AllocsFrac).
-	AllocsFrac float64 `json:"allocs_frac"`
-	Note       string  `json:"note,omitempty"`
+// metricSpec is one end-to-end metric and the bound by which HEAD's
+// median may be worse than the base's.
+type metricSpec struct {
+	Name   string  `json:"name"`
+	Unit   string  `json:"unit"`
+	Better string  `json:"better"` // "lower" or "higher"
+	Bound  float64 `json:"bound"`
 }
 
-// Baseline is the committed BENCH_*.json document.
-type Baseline struct {
-	Benchmark string            `json:"benchmark,omitempty"`
-	Machine   string            `json:"machine,omitempty"`
-	Note      string            `json:"note,omitempty"`
-	Tolerance Tolerance         `json:"tolerance"`
-	Before    map[string]Result `json:"before,omitempty"`
-	After     map[string]Result `json:"after,omitempty"`
+// result is one perfbench JSON result line.
+type result struct {
+	Correct bool              `json:"correct"`
+	Metrics map[string]metric `json:"metrics"`
+}
+
+type metric struct {
+	Value float64 `json:"value"`
+	Unit  string  `json:"unit"`
 }
 
 func main() {
-	out := flag.String("out", "", "baseline file to record the parsed run into (with -phase)")
-	phase := flag.String("phase", "after", "which phase -out records: before or after")
-	check := flag.String("check", "", "baseline file to compare the parsed run against")
-	flag.Parse()
-
-	if err := run(os.Stdin, os.Stdout, *out, *phase, *check); err != nil {
+	if len(os.Args) != 3 {
+		fmt.Fprintln(os.Stderr, "usage: benchjson <base-dir> <head-dir>")
+		os.Exit(2)
+	}
+	if err := run(os.Stdout, "BENCHMARK.json", os.Args[1], os.Args[2]); err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
 }
 
-func run(in io.Reader, stdout io.Writer, out, phase, check string) error {
-	results, meta, err := parseBench(in)
+func run(stdout io.Writer, benchPath, baseDir, headDir string) error {
+	bm, err := loadBenchmark(benchPath)
 	if err != nil {
 		return err
 	}
-	if len(results) == 0 {
-		return errors.New("no benchmark result lines on stdin")
-	}
-	switch {
-	case check != "":
-		return checkBaseline(stdout, check, results)
-	case out != "":
-		return record(out, phase, results, meta)
-	default:
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(results)
-	}
-}
-
-// parseBench reads `go test -bench` text output: one "Benchmark..." line
-// per result, whitespace-separated as name, iterations, then value/unit
-// pairs. Keys drop the "Benchmark" prefix and the "-<procs>" suffix.
-// It also captures the cpu: line as machine metadata.
-func parseBench(in io.Reader) (map[string]Result, string, error) {
-	results := map[string]Result{}
-	machine := ""
-	sc := bufio.NewScanner(in)
-	for sc.Scan() {
-		line := sc.Text()
-		if cpu, ok := strings.CutPrefix(line, "cpu: "); ok {
-			machine = strings.TrimSpace(cpu)
-			continue
+	base, head := map[string][]result{}, map[string][]result{}
+	for _, w := range bm.Workloads {
+		if base[w.Name], err = readResults(filepath.Join(baseDir, w.Name+".jsonl")); err != nil {
+			return err
 		}
-		if !strings.HasPrefix(line, "Benchmark") {
-			continue
+		if head[w.Name], err = readResults(filepath.Join(headDir, w.Name+".jsonl")); err != nil {
+			return err
 		}
-		fields := strings.Fields(line)
-		if len(fields) < 4 {
-			continue
-		}
-		iters, err := strconv.Atoi(fields[1])
-		if err != nil {
-			continue // "Benchmark..." heading without results
-		}
-		name := strings.TrimPrefix(fields[0], "Benchmark")
-		if i := strings.LastIndexByte(name, '-'); i >= 0 {
-			if _, err := strconv.Atoi(name[i+1:]); err == nil {
-				name = name[:i]
-			}
-		}
-		r := Result{Iterations: iters}
-		for i := 2; i+1 < len(fields); i += 2 {
-			v, err := strconv.ParseFloat(fields[i], 64)
-			if err != nil {
-				return nil, "", fmt.Errorf("%s: bad value %q", name, fields[i])
-			}
-			switch fields[i+1] {
-			case "ns/op":
-				r.NsPerOp = v
-			case "Mrefs/s":
-				r.MrefsPerSec = v
-			case "B/op":
-				r.BytesPerOp = int64(v)
-			case "allocs/op":
-				r.AllocsPerOp = int64(v)
-			}
-		}
-		results[name] = r
 	}
-	return results, machine, sc.Err()
-}
-
-// record merges the parsed run into the baseline file's named phase,
-// preserving the other phase and the tolerances. A fresh file gets the
-// default tolerances documented in the package comment.
-func record(path, phase string, results map[string]Result, machine string) error {
-	if phase != "before" && phase != "after" {
-		return fmt.Errorf("-phase must be before or after, got %q", phase)
-	}
-	base := Baseline{
-		Tolerance: Tolerance{
-			MrefsFrac:  0.5,
-			AllocsFrac: 0.10,
-			Note: "throughput may halve before failing (CI runners are slower and noisier " +
-				"than the recording machine); allocs/op is deterministic for a fixed workload " +
-				"and may grow at most 10%",
-		},
-	}
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &base); err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return err
-	}
-	if machine != "" {
-		base.Machine = machine
-	}
-	if bench := commonBenchmark(results); bench != "" {
-		base.Benchmark = "Benchmark" + bench
-	}
-	if phase == "before" {
-		base.Before = results
-	} else {
-		base.After = results
-	}
-	data, err := json.MarshalIndent(base, "", "  ")
-	if err != nil {
-		return err
-	}
-	return atomicio.WriteFile(path, append(data, '\n'))
-}
-
-// commonBenchmark returns the shared top-level benchmark name, or "".
-func commonBenchmark(results map[string]Result) string {
-	bench := ""
-	for name := range results {
-		top, _, _ := strings.Cut(name, "/")
-		if bench != "" && bench != top {
-			return ""
-		}
-		bench = top
-	}
-	return bench
-}
-
-// checkBaseline compares the parsed run against the committed "after"
-// phase and returns an error if any shared sub-benchmark regresses past
-// the file's tolerances.
-func checkBaseline(stdout io.Writer, path string, results map[string]Result) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var base Baseline
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	if len(base.After) == 0 {
-		return fmt.Errorf("%s has no after phase to check against", path)
-	}
-	names := make([]string, 0, len(base.After))
-	for name := range base.After {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-
-	matched, failed := 0, 0
-	for _, name := range names {
-		want := base.After[name]
-		got, ok := results[name]
-		if !ok {
-			fmt.Fprintf(stdout, "%-40s not in this run, skipped\n", name)
-			continue
-		}
-		matched++
-		status := "ok"
-		minMrefs := want.MrefsPerSec * (1 - base.Tolerance.MrefsFrac)
-		maxAllocs := float64(want.AllocsPerOp) * (1 + base.Tolerance.AllocsFrac)
-		if want.MrefsPerSec > 0 && got.MrefsPerSec < minMrefs {
-			status = fmt.Sprintf("FAIL: %.2f Mrefs/s < floor %.2f", got.MrefsPerSec, minMrefs)
-			failed++
-		} else if float64(got.AllocsPerOp) > maxAllocs {
-			status = fmt.Sprintf("FAIL: %d allocs/op > ceiling %.0f", got.AllocsPerOp, maxAllocs)
-			failed++
-		}
-		fmt.Fprintf(stdout, "%-40s %8.2f Mrefs/s (baseline %8.2f)  %7d allocs/op (baseline %7d)  %s\n",
-			name, got.MrefsPerSec, want.MrefsPerSec, got.AllocsPerOp, want.AllocsPerOp, status)
-	}
-	if matched == 0 {
-		return fmt.Errorf("no sub-benchmark in this run matches %s", path)
-	}
-	if failed > 0 {
-		return fmt.Errorf("%d of %d sub-benchmarks regressed past tolerance", failed, matched)
+	if failed := compare(stdout, bm, base, head); len(failed) > 0 {
+		return fmt.Errorf("%d failed: %s", len(failed), strings.Join(failed, "; "))
 	}
 	return nil
+}
+
+func loadBenchmark(path string) (benchmark, error) {
+	var bm benchmark
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return bm, err
+	}
+	if err := json.Unmarshal(data, &bm); err != nil {
+		return bm, fmt.Errorf("%s: %w", path, err)
+	}
+	if len(bm.Workloads) == 0 || len(bm.EndToEnd) == 0 {
+		return bm, fmt.Errorf("%s names no workloads or no end-to-end metrics", path)
+	}
+	for _, m := range bm.EndToEnd {
+		if (m.Better != "lower" && m.Better != "higher") || m.Bound < 0 {
+			return bm, fmt.Errorf("%s: metric %s: better %q, bound %v", path, m.Name, m.Better, m.Bound)
+		}
+	}
+	return bm, nil
+}
+
+// readResults reads the JSON result lines of path.
+func readResults(path string) ([]result, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	var rs []result
+	for dec := json.NewDecoder(f); ; {
+		var r result
+		if err := dec.Decode(&r); errors.Is(err, io.EOF) {
+			break
+		} else if err != nil {
+			return nil, fmt.Errorf("%s: %w", path, err)
+		}
+		rs = append(rs, r)
+	}
+	if len(rs) == 0 {
+		return nil, fmt.Errorf("%s has no result lines", path)
+	}
+	return rs, nil
+}
+
+// compare prints one row per workload and end-to-end metric and returns
+// the failures, each naming its workload and metric.
+func compare(w io.Writer, bm benchmark, base, head map[string][]result) []string {
+	var failed []string
+	fail := func(format string, args ...any) { failed = append(failed, fmt.Sprintf(format, args...)) }
+	for _, wl := range bm.Workloads {
+		for side, rs := range map[string][]result{"base": base[wl.Name], "head": head[wl.Name]} {
+			for i, r := range rs {
+				if !r.Correct {
+					fail("%s: %s run %d is not correct", wl.Name, side, i+1)
+				}
+			}
+		}
+		for _, m := range bm.EndToEnd {
+			mb, errB := median("base", base[wl.Name], m)
+			mh, errH := median("head", head[wl.Name], m)
+			if errB != nil || errH != nil {
+				fail("%s %s: %v", wl.Name, m.Name, errors.Join(errB, errH))
+				continue
+			}
+			status := "ok"
+			if worse(mb, mh, m) {
+				status = "FAIL"
+				fail("%s %s: head median %.6g %s is worse than base median %.6g by more than %g",
+					wl.Name, m.Name, mh, m.Unit, mb, m.Bound)
+			}
+			fmt.Fprintf(w, "%-7s %-20s base %12.6g  head %12.6g %-7s  %+7.1f%%  (%s is better, bound %g)  %s\n",
+				wl.Name, m.Name, mb, mh, m.Unit, (mh/mb-1)*100, m.Better, m.Bound, status)
+		}
+	}
+	sort.Strings(failed)
+	return failed
+}
+
+// median of metric m over one side's runs, each of which must report it
+// in m's unit; the mean of the middle two for an even count.
+func median(side string, rs []result, m metricSpec) (float64, error) {
+	if len(rs) == 0 {
+		return 0, fmt.Errorf("no %s runs", side)
+	}
+	xs := make([]float64, 0, len(rs))
+	for i, r := range rs {
+		v, ok := r.Metrics[m.Name]
+		switch {
+		case !ok:
+			return 0, fmt.Errorf("%s run %d lacks the metric", side, i+1)
+		case v.Unit != m.Unit:
+			return 0, fmt.Errorf("%s run %d reports it in %q, not %q", side, i+1, v.Unit, m.Unit)
+		}
+		xs = append(xs, v.Value)
+	}
+	sort.Float64s(xs)
+	n := len(xs)
+	if n%2 == 1 {
+		return xs[n/2], nil
+	}
+	return (xs[n/2-1] + xs[n/2]) / 2, nil
+}
+
+// worse reports whether head is worse than base by more than m's bound
+// in m's better direction; exactly at the bound passes.
+func worse(base, head float64, m metricSpec) bool {
+	if m.Better == "lower" {
+		return head > base*(1+m.Bound)
+	}
+	return head < base*(1-m.Bound)
 }
