@@ -1,7 +1,8 @@
 # Keep `check` equal to what CI runs: a clean checkout that passes
 # `make check` will pass the workflow. `check` includes perfbench-ab, the
 # benchmark of record's A/B gate, against BASE, which defaults to the
-# merge base with origin/main (CI passes the PR's merge base).
+# merge base with origin/main, as in CI's pull-request runs (a push to
+# main is compared with the previous commit).
 
 GO ?= go
 
@@ -23,12 +24,11 @@ test:
 perfbench-test:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
-# The benchmark of record's wall-time gate (same scenario CI runs). BASE
-# (default: the merge base with origin/main) is exported into
+# The benchmark of record's wall-time gate. BASE is exported into
 # .bench_build/ab/src, whose run.sh builds from it; this working tree is
 # HEAD. After one short traced pass at HEAD, each workload runs AB_PAIRS
-# times per side, untraced, the sides taking turns to go first and pair i
-# on seed i; one-second runs spread by up to 31% of their median, too wide
+# times per side, untraced, the sides taking turns to go first, pair i on
+# seed i: one-second runs spread by up to 31% of their median, too wide
 # for a single pair against the 0.25 bound. A run that exits nonzero fails
 # at once; cmd/benchjson fails any end-to-end metric whose HEAD median is
 # worse than BASE's by more than BENCHMARK.json's bound.
