@@ -37,6 +37,7 @@ AB_SECONDS = 3
 BASE ?= $(shell git merge-base HEAD origin/main 2>/dev/null)
 perfbench-ab:
 	@test -n "$(BASE)" || { echo "perfbench-ab: no merge base with origin/main; pass BASE=<rev>" >&2; exit 2; }
+	@git cat-file -e "$(BASE):perfbench/run.sh" 2>/dev/null || { echo "perfbench-ab: BASE $(BASE) has no perfbench/run.sh to compare against; pass BASE=<rev> naming a revision that has one" >&2; exit 2; }
 	rm -rf .bench_build/ab && mkdir -p .bench_build/ab/src .bench_build/ab/base .bench_build/ab/head
 	git archive "$(BASE)" | tar -x -C .bench_build/ab/src
 	bash perfbench/run.sh --workload replay --seed 1 --seconds 1 --trace 1
@@ -112,19 +113,17 @@ paper-smoke:
 	rm -rf paper-smoke.tmp
 
 # End-to-end resilience drill (same scenario CI runs): a sweep with an
-# injected panic, a truncated trace and transient faults on every job
-# must exit nonzero yet leave a partial CSV, a failure manifest and a
-# checkpoint; a clean -resume run must reproduce the fault-free output
-# byte for byte.
+# injected panic and a truncated trace must exit nonzero yet leave a
+# partial CSV, a failure manifest and a checkpoint; a clean -resume run
+# must reproduce the fault-free output byte for byte.
 fault-smoke:
 	rm -rf fault-smoke.tmp && mkdir fault-smoke.tmp
 	$(GO) run ./cmd/sweep -workloads pops -schemes dir0b,dragon -cpus 2,4,8 \
 		-refs 6000 -seeds 2 -parallel 2 -o fault-smoke.tmp/clean.csv
 	! $(GO) run ./cmd/sweep -workloads pops -schemes dir0b,dragon -cpus 2,4,8 \
 		-refs 6000 -seeds 2 -parallel 2 -o fault-smoke.tmp/faulty.csv \
-		-fault-panic 1 -fault-jobs 2 -fault-truncate 3000 -fault-transient 1 \
-		-retry-base 1ms -checkpoint fault-smoke.tmp/ck.json \
-		-manifest fault-smoke.tmp/failures.json
+		-fault-panic 1 -fault-jobs 2 -fault-truncate 3000 \
+		-checkpoint fault-smoke.tmp/ck.json -manifest fault-smoke.tmp/failures.json
 	test -s fault-smoke.tmp/faulty.csv
 	grep -q '"jobs_failed": 2' fault-smoke.tmp/failures.json
 	$(GO) run ./cmd/sweep -workloads pops -schemes dir0b,dragon -cpus 2,4,8 \

@@ -1,9 +1,9 @@
 // Command dirsimd serves simulations as a daemon: a stdlib-only HTTP
 // service that accepts cell and sweep specs as jobs, executes them on the
-// shared runner pool with the usual resilience policies, deduplicates
-// concurrent identical submissions by content hash, and answers repeats
-// from a content-addressed result cache (in-memory LRU plus an optional
-// crash-safe on-disk store).
+// shared runner pool (panics contained, an optional per-cell deadline),
+// deduplicates concurrent identical submissions by content hash, and
+// answers repeats from a content-addressed result cache (in-memory LRU
+// plus an optional crash-safe on-disk store).
 //
 // With -state-dir the daemon is crash-survivable: accepted jobs are
 // journaled before the submit is acknowledged, sweeps checkpoint per
@@ -82,10 +82,7 @@ func main() {
 	stateDir := flag.String("state-dir", "", "journal accepted jobs under this directory; a restarted daemon resumes exactly the unfinished work (empty = stateless)")
 	tenantsFile := flag.String("tenants", "", "JSON file of API tenants ([{name,key,weight,max_active}]); empty = open mode, no authentication")
 	chunkCells := flag.Int("chunk-cells", 16, "sweep cells per execution chunk (the checkpoint and yield granularity)")
-	jobTimeout := flag.Duration("job-timeout", 0, "per-attempt deadline for each cell (0 = no limit)")
-	stallTimeout := flag.Duration("stall-timeout", 0, "fail a cell when no progress for this long (0 = off)")
-	retries := flag.Int("retries", 2, "extra attempts for cells failing with transient errors")
-	retryBase := flag.Duration("retry-base", 100*time.Millisecond, "backoff before the first retry (doubles per attempt, jittered)")
+	jobTimeout := flag.Duration("job-timeout", 0, "deadline for each cell (0 = no limit)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Minute, "bound on graceful shutdown")
 	traceSample := flag.Int("trace-sample", 0, "record a flight trace per executed job, sampling every Nth reference (0 = off); serve via GET /v1/jobs/{id}/trace")
 	traceSpans := flag.Int("trace-spans", 0, "fabric span ring capacity (0 = default 16384); serve via GET /v1/trace/{traceid}")
@@ -133,10 +130,6 @@ func main() {
 		Tenants:      tenants,
 		ChunkCells:   *chunkCells,
 		JobTimeout:   *jobTimeout,
-		StallTimeout: *stallTimeout,
-		Retries:      *retries,
-		RetryBase:    *retryBase,
-		Sleep:        time.Sleep,
 		NowNanos:     nowNanos,
 		Metrics:      metrics,
 		Tracer:       tracer,

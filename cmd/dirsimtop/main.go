@@ -2,8 +2,8 @@
 // It polls one daemon's federated GET /v1/cluster/metrics endpoint —
 // that daemon scrapes its peers, so a single address is enough to see
 // the whole fleet — and renders one plain-text table per refresh: a
-// row per member with reference throughput, job progress, retry and
-// failure counts, and the hedging/failover counters that show the
+// row per member with reference throughput, job progress, failure
+// counts, and the hedging/failover counters that show the
 // fleet's resilience machinery working. Down peers stay visible as
 // rows with their probe error; absence of data is itself data.
 //
@@ -157,7 +157,7 @@ func (t *top) render(doc spec.ClusterMetricsDoc) {
 		len(doc.Peers), up, totalRefs, totalDone, totalJobs, now.Format("15:04:05"))
 
 	w := tabwriter.NewWriter(t.out, 2, 0, 2, ' ', 0)
-	fmt.Fprintln(w, "PEER\tSTATE\tREFS\tREFS/S\tJOBS\tRETRY\tFAIL\tHEDGE\tWIN\tFAILOVER")
+	fmt.Fprintln(w, "PEER\tSTATE\tREFS\tREFS/S\tJOBS\tFAIL\tHEDGE\tWIN\tFAILOVER")
 	for _, p := range doc.Peers {
 		name := p.Addr
 		if p.Self {
@@ -168,14 +168,14 @@ func (t *top) render(doc spec.ClusterMetricsDoc) {
 			if reason == "" {
 				reason = "no metrics"
 			}
-			fmt.Fprintf(w, "%s\tdown\t-\t-\t-\t-\t-\t-\t-\t-\t%s\n", name, reason)
+			fmt.Fprintf(w, "%s\tdown\t-\t-\t-\t-\t-\t-\t-\t%s\n", name, reason)
 			continue
 		}
 		m := p.Metrics
 		refs[p.Addr] = m.Refs
-		fmt.Fprintf(w, "%s\tup\t%d\t%s\t%d/%d\t%d\t%d\t%d\t%d\t%d\n",
+		fmt.Fprintf(w, "%s\tup\t%d\t%s\t%d/%d\t%d\t%d\t%d\t%d\n",
 			name, m.Refs, rate(m.Refs, t.prevRefs[p.Addr], elapsed, t.prevRefs != nil),
-			m.JobsDone, m.JobsTotal, m.Retries, m.Failures,
+			m.JobsDone, m.JobsTotal, m.Failures,
 			counter(m, "cluster_hedge_fired"), counter(m, "cluster_hedge_win"),
 			counter(m, "cluster_failover"))
 	}

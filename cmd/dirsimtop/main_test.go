@@ -17,7 +17,7 @@ import (
 
 func snapshotWithRefs(refs uint64) *obs.Snapshot {
 	return &obs.Snapshot{
-		Refs: refs, JobsDone: 3, JobsTotal: 4, Retries: 1,
+		Refs: refs, JobsDone: 3, JobsTotal: 4, Failures: 1,
 		Counters: []obs.NamedValue{
 			{Name: "cluster_hedge_fired", Value: 2},
 			{Name: "cluster_hedge_win", Value: 1},

@@ -37,6 +37,7 @@ import (
 	"dirsim/internal/flight"
 	"dirsim/internal/obs"
 	"dirsim/internal/queueing"
+	"dirsim/internal/remote"
 	"dirsim/internal/report"
 	"dirsim/internal/runner"
 	"dirsim/internal/sim"
@@ -53,8 +54,8 @@ func main() {
 	cpus := flag.Int("cpus", 4, "number of processors")
 	parallel := flag.Int("parallel", 1, "concurrent simulation jobs (1 = sequential)")
 	timeout := flag.Duration("timeout", 0, "abort the reproduction after this long (0 = no limit)")
-	retries := flag.Int("retries", 2, "extra attempts for jobs failing with transient errors")
-	retryBase := flag.Duration("retry-base", 100*time.Millisecond, "backoff before the first retry (doubles per attempt, jittered)")
+	retries := flag.Int("retries", 2, "with -remote: extra attempts when the daemon answers 429 or 503")
+	retryBase := flag.Duration("retry-base", 100*time.Millisecond, "with -remote: backoff before the first retry (doubles per attempt, jittered)")
 	out := flag.String("o", "-", "output report file (written atomically), or - for stdout")
 	manifest := flag.String("manifest", "", "write a JSON failure manifest to this file")
 	remoteURL := flag.String("remote", "", "run simulation cells on a dirsimd daemon at this base URL instead of locally")
@@ -249,11 +250,7 @@ func run(ctx context.Context, w io.Writer, o options) error {
 
 	// All experiment fan-out goes through one runner configuration; with
 	// progress enabled the pool reports on progressW at batch granularity.
-	ropts := runner.Options{
-		Workers: o.parallel,
-		Retry:   runner.RetryPolicy{Max: o.retries + 1, Base: o.retryBase, Seed: 1},
-		Sleep:   o.sleep,
-	}
+	ropts := runner.Options{Workers: o.parallel}
 	if o.progressW != nil {
 		m := obs.NewMetrics()
 		start := time.Now()
@@ -290,7 +287,7 @@ func run(ctx context.Context, w io.Writer, o options) error {
 			Router:     cluster.NewRouter(mem, health),
 			Health:     health,
 			APIKey:     os.Getenv("DIRSIM_API_KEY"),
-			Retry:      ropts.Retry,
+			Retry:      remote.RetryPolicy{Max: o.retries + 1, Base: o.retryBase, Seed: 1},
 			Sleep:      o.sleep,
 		}, o.parallel)
 	}

@@ -91,9 +91,8 @@ func main() {
 	parallel := flag.Int("parallel", 1, "concurrent simulation jobs (1 = sequential); with -cluster, cells in flight per daemon")
 	timeout := flag.Duration("timeout", 0, "abort the sweep after this long (0 = no limit)")
 	jobTimeout := flag.Duration("job-timeout", 0, "per-job deadline (0 = no limit)")
-	stallTimeout := flag.Duration("stall-timeout", 0, "fail a job when no progress for this long (0 = off)")
-	retries := flag.Int("retries", 2, "extra attempts for jobs failing with transient errors")
-	retryBase := flag.Duration("retry-base", 100*time.Millisecond, "backoff before the first retry (doubles per attempt, jittered)")
+	retries := flag.Int("retries", 2, "with -remote or -cluster: extra attempts when a daemon answers 429 or 503")
+	retryBase := flag.Duration("retry-base", 100*time.Millisecond, "with -remote or -cluster: backoff before the first retry (doubles per attempt, jittered)")
 	out := flag.String("o", "-", "output CSV file (written atomically), or - for stdout")
 	manifest := flag.String("manifest", "", "write a JSON failure manifest to this file")
 	checkpoint := flag.String("checkpoint", "", "save completed cells to this JSON file as they finish")
@@ -111,7 +110,6 @@ func main() {
 	faultSeed := flag.Int64("fault-seed", 1, "seed for deterministic fault injection")
 	faultCorrupt := flag.Float64("fault-corrupt", 0, "per-reference bit-flip probability in fault-injected jobs")
 	faultTruncate := flag.Int("fault-truncate", 0, "fault-injected jobs lose their trace after this many references")
-	faultTransient := flag.Int("fault-transient", 0, "every job fails with a transient error on its first N attempts")
 	faultPanic := flag.String("fault-panic", "", "comma-separated job indices that panic mid-run")
 	faultJobs := flag.String("fault-jobs", "", "comma-separated job indices to inject trace faults into (default: all)")
 	flag.Parse()
@@ -170,13 +168,11 @@ func main() {
 
 	o := options{
 		workloads: *workloads, schemes: *schemes, cpus: *cpus,
-		refs: *refs, seeds: *seeds, parallel: *parallel,
-		jobTimeout: *jobTimeout, stallTimeout: *stallTimeout,
+		refs: *refs, seeds: *seeds, parallel: *parallel, jobTimeout: *jobTimeout,
 		retries: *retries, retryBase: *retryBase, sleep: time.Sleep,
 		manifest: *manifest, checkpoint: *checkpoint, resume: *resume,
 		faultSeed: *faultSeed, faultCorrupt: *faultCorrupt,
-		faultTruncate: *faultTruncate, faultTransient: *faultTransient,
-		faultPanic: *faultPanic, faultJobs: *faultJobs,
+		faultTruncate: *faultTruncate, faultPanic: *faultPanic, faultJobs: *faultJobs,
 		remote: *remoteURL, apiKey: *apiKey,
 		cluster: *clusterFile, hedge: *hedge,
 		fleetTrace: *fleetTrace, fleetStore: fleetStore,
@@ -235,20 +231,19 @@ type options struct {
 	workloads, schemes, cpus string
 	refs, seeds, parallel    int
 
-	jobTimeout, stallTimeout time.Duration
-	retries                  int
-	retryBase                time.Duration
-	sleep                    func(time.Duration)
+	jobTimeout time.Duration
+	retries    int
+	retryBase  time.Duration
+	sleep      func(time.Duration)
 
 	manifest, checkpoint string
 	resume               bool
 
-	faultSeed      int64
-	faultCorrupt   float64
-	faultTruncate  int
-	faultTransient int
-	faultPanic     string
-	faultJobs      string
+	faultSeed     int64
+	faultCorrupt  float64
+	faultTruncate int
+	faultPanic    string
+	faultJobs     string
 
 	remote  string
 	apiKey  string
@@ -347,8 +342,7 @@ func run(ctx context.Context, w io.Writer, o options) error {
 			mode = "-cluster"
 		}
 		switch {
-		case o.faultCorrupt > 0 || o.faultTruncate > 0 || o.faultTransient > 0 ||
-			o.faultPanic != "" || o.faultJobs != "":
+		case o.faultCorrupt > 0 || o.faultTruncate > 0 || o.faultPanic != "" || o.faultJobs != "":
 			return fmt.Errorf("%s cannot be combined with fault injection: faults exercise the local runner", mode)
 		case o.checkpoint != "" || o.resume:
 			return fmt.Errorf("%s cannot be combined with -checkpoint/-resume: the daemon's result cache already makes repeats cheap", mode)
@@ -482,8 +476,8 @@ func run(ctx context.Context, w io.Writer, o options) error {
 
 	// Pick what runs the cells; everything below is one result path.
 	// Daemon saturation (429 quota/queue-full, 503 restart) is absorbed
-	// on the same deterministic retry schedule the local runner uses,
-	// honouring the daemon's Retry-After.
+	// on a deterministic retry schedule, honouring the daemon's
+	// Retry-After.
 	var exec cellexec.Executor
 	var mem cluster.Membership
 	var traces *cellexec.Traces
@@ -495,7 +489,7 @@ func run(ctx context.Context, w io.Writer, o options) error {
 		client := &remote.Client{
 			BaseURL: o.remote,
 			APIKey:  o.apiKey,
-			Retry:   runner.RetryPolicy{Max: o.retries + 1, Base: o.retryBase, Seed: 1},
+			Retry:   remote.RetryPolicy{Max: o.retries + 1, Base: o.retryBase, Seed: 1},
 			Sleep:   o.sleep,
 		}
 		exec = func(ctx context.Context, _ []spec.Cell, onDone func(int, []sim.Result, error)) error {
@@ -525,7 +519,7 @@ func run(ctx context.Context, w io.Writer, o options) error {
 			Router:     cluster.NewRouter(mem, health),
 			Health:     health,
 			APIKey:     o.apiKey,
-			Retry:      runner.RetryPolicy{Max: o.retries + 1, Base: o.retryBase, Seed: 1},
+			Retry:      remote.RetryPolicy{Max: o.retries + 1, Base: o.retryBase, Seed: 1},
 			Sleep:      o.sleep,
 			HedgeDelay: o.hedge,
 			After:      time.After,
@@ -535,28 +529,13 @@ func run(ctx context.Context, w io.Writer, o options) error {
 		// -parallel is per-daemon concurrency; the fleet multiplies it.
 		exec = cellexec.Fleet(cc, o.parallel*len(mem.Peers))
 	default:
-		ropts := runner.Options{
-			Workers:      o.parallel,
-			JobTimeout:   o.jobTimeout,
-			StallTimeout: o.stallTimeout,
-			Retry:        runner.RetryPolicy{Max: o.retries + 1, Base: o.retryBase, Seed: o.faultSeed},
-			Sleep:        o.sleep,
-		}
+		ropts := runner.Options{Workers: o.parallel, JobTimeout: o.jobTimeout}
 		// Trace pids are global grid indices, which group each job's
 		// tracks in the export the same way on a -resume run.
 		if o.traceOut != "" {
 			traces = &cellexec.Traces{
 				Sample: o.traceSample, Spans: o.spans,
 				Pid: func(si int) int { return submitIdx[si] },
-			}
-		}
-		if o.faultTransient > 0 {
-			n := o.faultTransient
-			ropts.TransientFault = func(si, attempt int) error {
-				if attempt <= n {
-					return runner.Transient(fmt.Errorf("injected transient fault (attempt %d)", attempt))
-				}
-				return nil
 			}
 		}
 		if o.progress {
@@ -571,9 +550,9 @@ func run(ctx context.Context, w io.Writer, o options) error {
 			ropts.Progress = func() {
 				if th.Ready() {
 					s := m.Snapshot()
-					fmt.Fprintf(pw, "\rjobs %d/%d  %d refs (%.0f refs/s)  retries %d  failures %d ",
+					fmt.Fprintf(pw, "\rjobs %d/%d  %d refs (%.0f refs/s)  failures %d ",
 						s.JobsDone, s.JobsTotal, s.Refs, s.RefsPerSec(time.Since(start)),
-						s.Retries, s.Failures)
+						s.Failures)
 				}
 			}
 			defer fmt.Fprintln(pw)

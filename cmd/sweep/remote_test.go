@@ -60,7 +60,6 @@ func TestSweepRemoteRejectsLocalOnlyFlags(t *testing.T) {
 	cases := []func(*options){
 		func(o *options) { o.faultCorrupt = 0.1 },
 		func(o *options) { o.faultTruncate = 10 },
-		func(o *options) { o.faultTransient = 1 },
 		func(o *options) { o.faultPanic = "0" },
 		func(o *options) { o.faultJobs = "0" },
 		func(o *options) { o.checkpoint = "ck.json" },

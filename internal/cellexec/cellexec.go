@@ -25,12 +25,11 @@ import (
 type Executor func(ctx context.Context, cells []spec.Cell, onDone func(i int, rs []sim.Result, err error)) error
 
 // Local runs cells on the runner pool. opts configures the pool (workers,
-// retries, deadlines, progress, injected transient faults); its OnResult,
-// OnError and TraceFor hooks belong to the executor. A non-nil traces
-// gives every job attempt a fresh flight recorder, and a non-nil wrap
-// rewrites each compiled job before it runs. The returned error is
-// runner.Run's: per-job *runner.JobError failures joined, or the
-// context's cause when the run was cut short.
+// metrics, deadline, progress); its OnResult, OnError and TraceFor hooks
+// belong to the executor. A non-nil traces gives every job a fresh
+// flight recorder, and a non-nil wrap rewrites each compiled job before
+// it runs. The returned error is runner.Run's: per-job *runner.JobError
+// failures joined, or the context's cause when the run was cut short.
 func Local(opts runner.Options, traces *Traces, wrap func(i int, j runner.Job) runner.Job) Executor {
 	return func(ctx context.Context, cells []spec.Cell, onDone func(int, []sim.Result, error)) error {
 		jobs := make([]runner.Job, len(cells))
@@ -115,14 +114,13 @@ type Traces struct {
 }
 
 // hook reserves recorder slots for one batch and returns the runner's
-// TraceFor callback: a fresh recorder per attempt, so a retried job's
-// trace is the attempt that produced its results.
-func (t *Traces) hook(jobs []runner.Job) func(index, attempt int) *flight.Recorder {
+// TraceFor callback: a fresh recorder per job.
+func (t *Traces) hook(jobs []runner.Job) func(index int) *flight.Recorder {
 	t.mu.Lock()
 	base := len(t.recs)
 	t.recs = append(t.recs, make([]*flight.Recorder, len(jobs))...)
 	t.mu.Unlock()
-	return func(index, attempt int) *flight.Recorder {
+	return func(index int) *flight.Recorder {
 		pid := base + index
 		if t.Pid != nil {
 			pid = t.Pid(index)

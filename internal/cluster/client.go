@@ -14,7 +14,6 @@ import (
 	"dirsim/internal/obs"
 	"dirsim/internal/otrace"
 	"dirsim/internal/remote"
-	"dirsim/internal/runner"
 	"dirsim/internal/spec"
 )
 
@@ -45,7 +44,7 @@ type Client struct {
 	HTTP *http.Client
 	// Retry and Sleep configure each per-peer attempt's 429/503 retry
 	// policy, exactly as remote.Client takes them.
-	Retry runner.RetryPolicy
+	Retry remote.RetryPolicy
 	Sleep func(time.Duration)
 	// HedgeDelay is how long the primary attempt runs alone before the
 	// next peer in HRW order is tried concurrently. Zero (or nil After)

@@ -15,7 +15,7 @@ import (
 	"dirsim/internal/coherence"
 	"dirsim/internal/obs"
 	"dirsim/internal/otrace"
-	"dirsim/internal/runner"
+	"dirsim/internal/remote"
 	"dirsim/internal/spec"
 	"dirsim/internal/tracegen"
 )
@@ -225,7 +225,7 @@ func TestRetryAfterPropagatesThroughCluster(t *testing.T) {
 	c := &Client{
 		Membership: m,
 		Router:     NewRouter(m, nil),
-		Retry:      runner.RetryPolicy{Max: 3, Base: time.Millisecond, Seed: 1},
+		Retry:      remote.RetryPolicy{Max: 3, Base: time.Millisecond, Seed: 1},
 		Sleep:      func(d time.Duration) { slept = append(slept, d) },
 	}
 	if _, err := c.RunCell(context.Background(), testCell(t, 2_000)); err != nil {

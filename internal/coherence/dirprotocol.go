@@ -137,10 +137,6 @@ func NewCodedSet(cfg Config) (*DirEngine, error) {
 	return NewDirEngine("CodedSet", st, cfg)
 }
 
-// Store exposes the underlying directory organisation (for storage
-// accounting and tests).
-func (e *DirEngine) Store() directory.Store { return e.store }
-
 // ResetStats implements Engine: the tallies, missSharers included, are
 // zeroed and the protocol state is kept.
 func (e *DirEngine) ResetStats() {

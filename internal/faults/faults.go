@@ -1,13 +1,8 @@
 // Package faults injects deterministic, seedable faults into trace
-// streams for robustness testing: bit-flip corruption, truncation,
-// mid-stream stalls, duplicated and reordered references, and injected
-// panics. Wrapping the same reader with the same Config always produces
-// the same faulted stream, so a failure found under injection reproduces
-// exactly.
-//
-// The wrappers model imperfect *inputs*; transient *infrastructure*
-// failures (the kind a retry policy should absorb) are injected one layer
-// up, through internal/runner's Options.TransientFault hook.
+// streams for robustness testing: bit-flip corruption, truncation and
+// injected panics. Wrapping the same reader with the same Config always
+// produces the same faulted stream, so a failure found under injection
+// reproduces exactly.
 package faults
 
 import (
@@ -19,9 +14,8 @@ import (
 )
 
 // ErrTruncated is the error a truncating reader returns in place of a
-// clean end-of-trace. It is deliberately not io.EOF and not transient: a
-// truncated trace stays truncated on retry, so the job must fail and be
-// reported rather than spin.
+// clean end-of-trace. It is deliberately not io.EOF, so the job fails and
+// is reported rather than passing off a short trace as a whole one.
 var ErrTruncated = errors.New("faults: trace truncated")
 
 // Config selects which faults to inject. The zero value injects nothing
@@ -39,20 +33,6 @@ type Config struct {
 	// TruncateAfter, when positive, ends the stream with ErrTruncated
 	// after that many references — a partially written trace file.
 	TruncateAfter int
-	// DuplicateProb is the per-reference probability the reference is
-	// delivered twice — replayed batches after an ingest retry.
-	DuplicateProb float64
-	// ReorderProb is the per-reference probability the reference is
-	// swapped with its successor — out-of-order delivery.
-	ReorderProb float64
-	// StallEvery, when positive together with Stall, invokes the Stall
-	// hook before every StallEvery-th reference — a stream that hangs
-	// mid-flight. The hook is injected (e.g. a bounded time.Sleep from
-	// the cmd layer, or a channel wait in tests) so this package stays
-	// clock-free.
-	StallEvery int
-	// Stall is the hook StallEvery invokes; nil means no stalls.
-	Stall func()
 	// PanicAfter, when positive, panics after that many references —
 	// the blunt failure mode the runner's per-job recovery must contain.
 	PanicAfter int
@@ -60,8 +40,7 @@ type Config struct {
 
 // enabled reports whether cfg injects any fault at all.
 func (c Config) enabled() bool {
-	return c.CorruptProb > 0 || c.TruncateAfter > 0 || c.DuplicateProb > 0 ||
-		c.ReorderProb > 0 || (c.StallEvery > 0 && c.Stall != nil) || c.PanicAfter > 0
+	return c.CorruptProb > 0 || c.TruncateAfter > 0 || c.PanicAfter > 0
 }
 
 // Wrap returns rd with cfg's faults injected, or rd itself when the
@@ -75,11 +54,10 @@ func Wrap(rd trace.Reader, cfg Config) trace.Reader {
 
 // reader applies Config to an underlying stream.
 type reader struct {
-	rd   trace.Reader
-	cfg  Config
-	rng  *rand.Rand
-	n    int         // references delivered so far
-	pend []trace.Ref // queued duplicates/reordered refs, delivered first
+	rd  trace.Reader
+	cfg Config
+	rng *rand.Rand
+	n   int // references delivered so far
 }
 
 // Next implements trace.Reader.
@@ -90,25 +68,6 @@ func (r *reader) Next() (trace.Ref, error) {
 	if r.cfg.TruncateAfter > 0 && r.n >= r.cfg.TruncateAfter {
 		return trace.Ref{}, fmt.Errorf("faults: after %d refs: %w", r.n, ErrTruncated)
 	}
-	if r.cfg.StallEvery > 0 && r.cfg.Stall != nil && r.n > 0 && r.n%r.cfg.StallEvery == 0 {
-		r.cfg.Stall()
-	}
-	ref, err := r.next()
-	if err != nil {
-		return trace.Ref{}, err
-	}
-	r.n++
-	return ref, nil
-}
-
-// next pops the pending queue or pulls (and possibly corrupts,
-// duplicates or reorders) the next underlying reference.
-func (r *reader) next() (trace.Ref, error) {
-	if len(r.pend) > 0 {
-		ref := r.pend[0]
-		r.pend = r.pend[1:]
-		return ref, nil
-	}
 	ref, err := r.rd.Next()
 	if err != nil {
 		return trace.Ref{}, err
@@ -116,19 +75,7 @@ func (r *reader) next() (trace.Ref, error) {
 	if r.cfg.CorruptProb > 0 && r.rng.Float64() < r.cfg.CorruptProb {
 		ref = r.corrupt(ref)
 	}
-	if r.cfg.DuplicateProb > 0 && r.rng.Float64() < r.cfg.DuplicateProb {
-		r.pend = append(r.pend, ref)
-	}
-	if r.cfg.ReorderProb > 0 && r.rng.Float64() < r.cfg.ReorderProb {
-		// Swap with the successor: deliver it now, queue ref behind it.
-		succ, err := r.rd.Next()
-		if err == nil {
-			r.pend = append(r.pend, ref)
-			return succ, nil
-		}
-		// Stream ended at the swap point; deliver ref as-is and let the
-		// next call surface the end.
-	}
+	r.n++
 	return ref, nil
 }
 

@@ -41,7 +41,7 @@ func TestWrapInertConfigReturnsReader(t *testing.T) {
 }
 
 func TestDeterministicSameSeed(t *testing.T) {
-	cfg := Config{Seed: 42, CorruptProb: 0.2, DuplicateProb: 0.1, ReorderProb: 0.1}
+	cfg := Config{Seed: 42, CorruptProb: 0.2}
 	a, erra := drain(Wrap(trace.NewSliceReader(input(500)), cfg))
 	b, errb := drain(Wrap(trace.NewSliceReader(input(500)), cfg))
 	if erra != io.EOF || errb != io.EOF {
@@ -97,65 +97,6 @@ func TestCorruptAlwaysPerturbsButPreservesLength(t *testing.T) {
 	}
 	if changed != len(in) {
 		t.Fatalf("CorruptProb=1 changed %d of %d refs", changed, len(in))
-	}
-}
-
-func TestDuplicateDoublesStream(t *testing.T) {
-	got, err := drain(Wrap(trace.NewSliceReader(input(50)), Config{Seed: 1, DuplicateProb: 1}))
-	if err != io.EOF {
-		t.Fatal(err)
-	}
-	if len(got) != 100 {
-		t.Fatalf("delivered %d refs, want 100", len(got))
-	}
-	for i := 0; i < len(got); i += 2 {
-		if got[i] != got[i+1] {
-			t.Fatalf("refs %d and %d should be duplicates: %+v vs %+v", i, i+1, got[i], got[i+1])
-		}
-	}
-}
-
-func TestReorderPreservesMultiset(t *testing.T) {
-	in := input(101)
-	got, err := drain(Wrap(trace.NewSliceReader(in), Config{Seed: 9, ReorderProb: 0.5}))
-	if err != io.EOF {
-		t.Fatal(err)
-	}
-	if len(got) != len(in) {
-		t.Fatalf("reorder changed stream length: %d vs %d", len(got), len(in))
-	}
-	count := map[trace.Ref]int{}
-	for _, r := range in {
-		count[r]++
-	}
-	for _, r := range got {
-		count[r]--
-	}
-	for _, c := range count {
-		if c != 0 {
-			t.Fatal("reorder lost or invented references")
-		}
-	}
-	inOrder := true
-	for i := range got {
-		if got[i] != in[i] {
-			inOrder = false
-			break
-		}
-	}
-	if inOrder {
-		t.Fatal("ReorderProb=0.5 left the stream untouched")
-	}
-}
-
-func TestStallHookFires(t *testing.T) {
-	stalls := 0
-	cfg := Config{StallEvery: 10, Stall: func() { stalls++ }}
-	if _, err := drain(Wrap(trace.NewSliceReader(input(35)), cfg)); err != io.EOF {
-		t.Fatal(err)
-	}
-	if stalls != 3 {
-		t.Fatalf("stall hook fired %d times, want 3 (refs 10, 20, 30)", stalls)
 	}
 }
 

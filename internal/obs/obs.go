@@ -25,7 +25,6 @@ type Metrics struct {
 	refs      atomic.Uint64
 	jobsDone  atomic.Uint64
 	jobsTotal atomic.Uint64
-	retries   atomic.Uint64
 	failures  atomic.Uint64
 	panics    atomic.Uint64
 
@@ -74,11 +73,7 @@ func (m *Metrics) AddJobs(n int) { m.jobsTotal.Add(uint64(n)) }
 // JobDone records one completed job.
 func (m *Metrics) JobDone() { m.jobsDone.Add(1) }
 
-// AddRetry records one retried job attempt (a transient failure the
-// runner's backoff policy absorbed).
-func (m *Metrics) AddRetry() { m.retries.Add(1) }
-
-// AddFailure records one job that exhausted its attempts and failed.
+// AddFailure records one failed job.
 func (m *Metrics) AddFailure() { m.failures.Add(1) }
 
 // AddPanic records one panic the runner recovered into an error.
@@ -164,7 +159,6 @@ type Snapshot struct {
 	Refs       uint64              `json:"refs"`
 	JobsDone   uint64              `json:"jobs_done"`
 	JobsTotal  uint64              `json:"jobs_total"`
-	Retries    uint64              `json:"retries"`
 	Failures   uint64              `json:"failures"`
 	Panics     uint64              `json:"panics"`
 	Engines    []EngineSnapshot    `json:"engines,omitempty"`
@@ -186,7 +180,6 @@ func (m *Metrics) Merge(s Snapshot) {
 	m.refs.Add(s.Refs)
 	m.jobsDone.Add(s.JobsDone)
 	m.jobsTotal.Add(s.JobsTotal)
-	m.retries.Add(s.Retries)
 	m.failures.Add(s.Failures)
 	m.panics.Add(s.Panics)
 	for _, e := range s.Engines {
@@ -211,7 +204,6 @@ func (m *Metrics) Snapshot() Snapshot {
 		Refs:      m.refs.Load(),
 		JobsDone:  m.jobsDone.Load(),
 		JobsTotal: m.jobsTotal.Load(),
-		Retries:   m.retries.Load(),
 		Failures:  m.failures.Load(),
 		Panics:    m.panics.Load(),
 	}

@@ -14,8 +14,6 @@ func TestMetricsCountersAndSnapshot(t *testing.T) {
 	m.AddRefs(1000)
 	m.AddRefs(500)
 	m.JobDone()
-	m.AddRetry()
-	m.AddRetry()
 	m.AddFailure()
 	m.AddPanic()
 	m.AddEngine("Dir0B", EngineTally{Refs: 1000, Transactions: 40, BusOps: 55})
@@ -26,7 +24,7 @@ func TestMetricsCountersAndSnapshot(t *testing.T) {
 	if s.Refs != 1500 || s.JobsDone != 1 || s.JobsTotal != 3 {
 		t.Fatalf("snapshot = %+v", s)
 	}
-	if s.Retries != 2 || s.Failures != 1 || s.Panics != 1 {
+	if s.Failures != 1 || s.Panics != 1 {
 		t.Fatalf("resilience counters = %+v", s)
 	}
 	if len(s.Engines) != 2 {
@@ -97,7 +95,6 @@ func TestSnapshotRaceFree(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				m.AddJobs(1)
 				m.AddRefs(3)
-				m.AddRetry()
 				m.AddFailure()
 				m.AddPanic()
 				m.AddEngine("Dir0B", EngineTally{Refs: 3, Transactions: 1, BusOps: 2})
@@ -139,7 +136,7 @@ func TestMerge(t *testing.T) {
 	job.AddJobs(2)
 	job.JobDone()
 	job.AddRefs(100)
-	job.AddRetry()
+	job.AddFailure()
 	job.AddEngine("Dragon", EngineTally{Refs: 100, Transactions: 5, BusOps: 7})
 
 	global := NewMetrics()
@@ -148,7 +145,7 @@ func TestMerge(t *testing.T) {
 	global.Merge(job.Snapshot())
 
 	s := global.Snapshot()
-	if s.Refs != 101 || s.JobsTotal != 2 || s.JobsDone != 1 || s.Retries != 1 {
+	if s.Refs != 101 || s.JobsTotal != 2 || s.JobsDone != 1 || s.Failures != 1 {
 		t.Fatalf("merged counters = %+v", s)
 	}
 	if len(s.Engines) != 1 || s.Engines[0].Refs != 101 || s.Engines[0].BusOps != 7 {

@@ -54,8 +54,7 @@ func WritePrometheusLabeled(w io.Writer, s Snapshot, label string) error {
 		{"dirsim_refs_total", "Simulated references processed.", s.Refs},
 		{"dirsim_jobs_done_total", "Jobs completed.", s.JobsDone},
 		{"dirsim_jobs_submitted_total", "Jobs submitted.", s.JobsTotal},
-		{"dirsim_job_retries_total", "Transient job failures retried.", s.Retries},
-		{"dirsim_job_failures_total", "Jobs failed after exhausting retries.", s.Failures},
+		{"dirsim_job_failures_total", "Jobs failed.", s.Failures},
 		{"dirsim_job_panics_total", "Panics recovered into job errors.", s.Panics},
 	} {
 		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s%s %d\n",

@@ -6,7 +6,7 @@
 //
 // Transient daemon saturation is absorbed, not fatal: a 429 (per-tenant
 // quota or queue full) or a 503 (journal replay after a restart) is
-// retried on the runner's deterministic exponential-backoff-with-jitter
+// retried on a deterministic exponential-backoff-with-jitter
 // RetryPolicy, honouring the daemon's Retry-After header as a floor.
 // Submission is idempotent by construction — jobs are content-addressed
 // — so a retried POST can only attach to the same work, never duplicate
@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"dirsim/internal/otrace"
-	"dirsim/internal/runner"
 	"dirsim/internal/sim"
 	"dirsim/internal/spec"
 )
@@ -57,10 +56,10 @@ type Client struct {
 	// request. Daemons running with tenants configured require it.
 	APIKey string
 	// Retry bounds how 429/503 answers are retried (Max < 2 disables
-	// retries). The schedule is runner.RetryPolicy's: deterministic
-	// exponential backoff with jitter, so a saturated daemon is probed
-	// on the same reproducible cadence every run.
-	Retry runner.RetryPolicy
+	// retries). The schedule is deterministic exponential backoff with
+	// jitter, so a saturated daemon is probed on the same reproducible
+	// cadence every run.
+	Retry RetryPolicy
 	// Sleep waits out retry backoff (cmd layers pass time.Sleep; nil
 	// applies the schedule without waiting, which is what tests want).
 	Sleep func(time.Duration)

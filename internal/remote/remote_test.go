@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"dirsim/internal/coherence"
-	"dirsim/internal/runner"
 	"dirsim/internal/spec"
 	"dirsim/internal/tracegen"
 )
@@ -60,7 +59,7 @@ func TestRunRetries429HonoringRetryAfter(t *testing.T) {
 	var slept []time.Duration
 	c := &Client{
 		BaseURL: ts.URL,
-		Retry:   runner.RetryPolicy{Max: 5, Base: 10 * time.Millisecond, Seed: 1},
+		Retry:   RetryPolicy{Max: 5, Base: 10 * time.Millisecond, Seed: 1},
 		Sleep:   func(d time.Duration) { slept = append(slept, d) },
 	}
 	doc, err := c.Run(context.Background(), req)
@@ -96,7 +95,7 @@ func TestRunRetryAttemptsCapped(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	c := &Client{BaseURL: ts.URL, Retry: runner.RetryPolicy{Max: 3, Base: time.Millisecond, Seed: 1}}
+	c := &Client{BaseURL: ts.URL, Retry: RetryPolicy{Max: 3, Base: time.Millisecond, Seed: 1}}
 	_, err := c.Run(context.Background(), req)
 	if err == nil {
 		t.Fatal("saturated daemon did not surface an error")
@@ -123,7 +122,7 @@ func TestRetryBackoffDeterministic(t *testing.T) {
 		var slept []time.Duration
 		c := &Client{
 			BaseURL: ts.URL,
-			Retry:   runner.RetryPolicy{Max: 4, Base: 20 * time.Millisecond, Seed: 7},
+			Retry:   RetryPolicy{Max: 4, Base: 20 * time.Millisecond, Seed: 7},
 			Sleep:   func(d time.Duration) { slept = append(slept, d) },
 		}
 		if _, err := c.Run(context.Background(), req); err != nil {
@@ -152,7 +151,7 @@ func TestNoRetryOnHardErrorOrWithoutPolicy(t *testing.T) {
 		calls  int64
 	}{
 		{http.StatusBadRequest, func(u string) *Client {
-			return &Client{BaseURL: u, Retry: runner.RetryPolicy{Max: 5, Base: time.Millisecond}}
+			return &Client{BaseURL: u, Retry: RetryPolicy{Max: 5, Base: time.Millisecond}}
 		}, 1},
 		{http.StatusTooManyRequests, func(u string) *Client { return &Client{BaseURL: u} }, 1},
 	} {

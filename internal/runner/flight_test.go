@@ -10,8 +10,7 @@ import (
 	"dirsim/internal/obs"
 )
 
-// TestTraceForCapturesPerJob wires one recorder per (index, attempt)
-// through the pool and checks each job's trace is captured independently
+// TestTraceForCapturesPerJob wires one recorder per job through the pool and checks each job's trace is captured independently
 // while results stay identical to an untraced run.
 func TestTraceForCapturesPerJob(t *testing.T) {
 	jobs := []Job{job(1), job(2), job(3)}
@@ -23,7 +22,7 @@ func TestTraceForCapturesPerJob(t *testing.T) {
 	recs := map[int]*flight.Recorder{}
 	traced, err := Run(context.Background(), jobs, Options{
 		Workers: 2,
-		TraceFor: func(index, attempt int) *flight.Recorder {
+		TraceFor: func(index int) *flight.Recorder {
 			rec := flight.New(flight.Options{Sample: 16, Spans: true, Pid: index, Label: jobs[index].Label})
 			mu.Lock()
 			recs[index] = rec

@@ -99,102 +99,30 @@ func TestPanicContainmentMidStream(t *testing.T) {
 	}
 }
 
-// Transient failures are retried up to Retry.Max attempts with the
-// policy's deterministic backoff; the same seed produces the same sleep
-// schedule, a different seed a different one.
-func TestRetryDeterministicSchedule(t *testing.T) {
-	runOnce := func(seed int64) ([]time.Duration, map[int]int, error) {
-		var delays []time.Duration
-		attemptsByJob := map[int]int{}
-		jobs := []Job{job(1), job(2)}
-		_, err := Run(context.Background(), jobs, Options{
-			Retry: RetryPolicy{Max: 3, Base: time.Millisecond, Seed: seed},
-			Sleep: func(d time.Duration) { delays = append(delays, d) },
-			TransientFault: func(index, attempt int) error {
-				attemptsByJob[index] = attempt
-				if attempt <= 2 {
-					return Transient(fmt.Errorf("flaky infra (job %d attempt %d)", index, attempt))
-				}
-				return nil
-			},
-		})
-		return delays, attemptsByJob, err
-	}
-	d1, attempts, err := runOnce(7)
-	if err != nil {
-		t.Fatalf("retries should have absorbed the transient faults: %v", err)
-	}
-	for i, a := range attempts {
-		if a != 3 {
-			t.Errorf("job %d ran %d attempts, want 3", i, a)
-		}
-	}
-	if len(d1) != 4 { // 2 jobs × 2 retries
-		t.Fatalf("%d backoff sleeps, want 4", len(d1))
-	}
-	d2, _, err := runOnce(7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(d1, d2) {
-		t.Errorf("same seed gave different schedules: %v vs %v", d1, d2)
-	}
-	d3, _, err := runOnce(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reflect.DeepEqual(d1, d3) {
-		t.Errorf("different seeds gave identical schedules: %v", d1)
-	}
-}
-
-// Permanent failures must not burn retry budget.
+// A failing job runs once: its source is opened exactly once and the
+// error comes back wrapped in a JobError.
 func TestPermanentErrorsFailFast(t *testing.T) {
-	calls := 0
-	jobs := []Job{job(1)}
-	_, err := Run(context.Background(), jobs, Options{
-		Retry: RetryPolicy{Max: 5, Base: time.Millisecond},
-		TransientFault: func(index, attempt int) error {
-			calls++
-			return errors.New("hard config error")
+	opens := 0
+	jobs := []Job{{
+		Label: "bad",
+		Source: func() (trace.Reader, error) {
+			opens++
+			return nil, errors.New("hard config error")
 		},
-	})
+		Schemes: []string{"dir0b"},
+		Config:  coherence.Config{Caches: 4},
+	}}
+	_, err := Run(context.Background(), jobs, Options{})
 	var je *JobError
-	if !errors.As(err, &je) || je.Attempts != 1 {
-		t.Fatalf("error = %v, want a 1-attempt JobError", err)
+	if !errors.As(err, &je) || je.Index != 0 || je.Label != "bad" {
+		t.Fatalf("error = %v, want a JobError for job 0", err)
 	}
-	if calls != 1 {
-		t.Errorf("permanent error attempted %d times, want 1", calls)
-	}
-}
-
-// Backoff is a pure function of (Seed, index, attempt): exponential with
-// jitter in [d/2, d], capped, and zero without a base.
-func TestBackoffSchedule(t *testing.T) {
-	p := RetryPolicy{Max: 5, Base: 10 * time.Millisecond, Cap: 40 * time.Millisecond, Seed: 3}
-	for attempt := 1; attempt <= 4; attempt++ {
-		full := p.Base << uint(attempt-1)
-		if full > p.Cap {
-			full = p.Cap
-		}
-		d := p.Backoff(9, attempt)
-		if d < full/2 || d > full {
-			t.Errorf("attempt %d: backoff %v outside [%v, %v]", attempt, d, full/2, full)
-		}
-		if d != p.Backoff(9, attempt) {
-			t.Errorf("attempt %d: backoff is not deterministic", attempt)
-		}
-	}
-	if d := (RetryPolicy{Max: 2}).Backoff(0, 1); d != 0 {
-		t.Errorf("zero-base backoff = %v, want 0", d)
-	}
-	if a, b := p.Backoff(1, 1), p.Backoff(2, 1); a == b {
-		t.Errorf("distinct jobs share jitter %v; schedules would retry in lockstep", a)
+	if opens != 1 {
+		t.Errorf("failing job opened its source %d times, want 1", opens)
 	}
 }
 
-// slowReader produces refs normally, then slows to a crawl after n refs —
-// the wedged-source shape the stall watchdog exists for.
+// slowReader produces refs normally, then slows to a crawl after n refs.
 type slowReader struct {
 	n     int
 	after int
@@ -207,26 +135,6 @@ func (r *slowReader) Next() (trace.Ref, error) {
 		time.Sleep(r.delay)
 	}
 	return trace.Ref{CPU: uint8(r.n % 4), Kind: trace.Read, Addr: uint64(r.n % 512 * 16)}, nil
-}
-
-func TestStallWatchdog(t *testing.T) {
-	jobs := []Job{{
-		Label: "wedged",
-		// Fast for > one 4096-ref batch (so the watchdog resets on real
-		// progress at least once), then 20ms per ref — far beyond the
-		// stall interval relative to batch time.
-		Source:  func() (trace.Reader, error) { return &slowReader{after: 5000, delay: 20 * time.Millisecond}, nil },
-		Schemes: []string{"dir0b"},
-		Config:  coherence.Config{Caches: 4},
-	}}
-	start := time.Now()
-	_, err := Run(context.Background(), jobs, Options{StallTimeout: 100 * time.Millisecond})
-	if !errors.Is(err, ErrStalled) {
-		t.Fatalf("error = %v, want ErrStalled", err)
-	}
-	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Errorf("stalled job held its worker for %v", elapsed)
-	}
 }
 
 func TestJobDeadline(t *testing.T) {
@@ -242,33 +150,26 @@ func TestJobDeadline(t *testing.T) {
 	}
 }
 
-// Transient and IsTransient must classify through wrapping.
-func TestTransientClassification(t *testing.T) {
+// A JobError names the job by label, or by index when it has none.
+func TestJobErrorMessage(t *testing.T) {
 	base := errors.New("io hiccup")
-	if IsTransient(base) {
-		t.Error("plain error classified transient")
-	}
-	wrapped := fmt.Errorf("job 3: %w", Transient(base))
-	if !IsTransient(wrapped) {
-		t.Error("wrapped transient error not recognised")
-	}
-	if !errors.Is(wrapped, base) {
-		t.Error("Transient broke the error chain")
-	}
-	je := &JobError{Index: 2, Label: "cell", Attempts: 3, Err: Transient(base)}
-	if !IsTransient(je) {
-		t.Error("JobError did not forward transience")
-	}
-	if je.Error() != "cell (after 3 attempts): io hiccup" {
+	je := &JobError{Index: 2, Label: "cell", Err: base}
+	if je.Error() != "cell: io hiccup" {
 		t.Errorf("JobError message = %q", je.Error())
+	}
+	if !errors.Is(je, base) {
+		t.Error("JobError broke the error chain")
+	}
+	if got := (&JobError{Index: 2, Err: base}).Error(); got != "job 2: io hiccup" {
+		t.Errorf("unlabelled JobError message = %q", got)
 	}
 }
 
 // The manifest round-trips through JSON with counts consistent with its
-// failures, and extracts attempt counts from wrapped JobErrors.
+// failures, and takes labels and errors from wrapped JobErrors.
 func TestManifestWrite(t *testing.T) {
 	man := NewManifest("sweep", 6)
-	man.Record(1, "", &JobError{Index: 1, Label: "cell b", Attempts: 3, Err: errors.New("boom")})
+	man.Record(1, "", &JobError{Index: 1, Label: "cell b", Err: errors.New("boom")})
 	man.Record(4, "cell e", errors.New("torn trace"))
 	path := filepath.Join(t.TempDir(), "sub", "failures.json")
 	if err := man.Write(path); err == nil {
@@ -289,8 +190,8 @@ func TestManifestWrite(t *testing.T) {
 	want := Manifest{
 		Command: "sweep", Total: 6, Succeeded: 4, Failed: 2,
 		Failures: []Failure{
-			{Index: 1, Label: "cell b", Attempts: 3, Error: "boom"},
-			{Index: 4, Label: "cell e", Attempts: 1, Error: "torn trace"},
+			{Index: 1, Label: "cell b", Error: "boom"},
+			{Index: 4, Label: "cell e", Error: "torn trace"},
 		},
 	}
 	if !reflect.DeepEqual(got, want) {
@@ -352,9 +253,9 @@ func TestGuardForwardsChunks(t *testing.T) {
 			t.Errorf("chunk %d: guarded ReadChunk differs from the source", c)
 		}
 		cr = guard(ctx, trace.NewSliceReader(src)).(trace.ChunkReader)
-		cancel(ErrStalled)
-		if refs, err := cr.ReadChunk(buf); len(refs) != 0 || !errors.Is(err, ErrStalled) {
-			t.Errorf("chunk %d after cancel: %d references, err %v; want none and ErrStalled", c, len(refs), err)
+		cancel(ErrJobDeadline)
+		if refs, err := cr.ReadChunk(buf); len(refs) != 0 || !errors.Is(err, ErrJobDeadline) {
+			t.Errorf("chunk %d after cancel: %d references, err %v; want none and ErrJobDeadline", c, len(refs), err)
 		}
 	}
 	if _, ok := guard(context.Background(), &slowReader{}).(trace.ChunkReader); ok {

@@ -7,10 +7,10 @@
 // aggregated errors, ordered result delivery, and obs instrumentation.
 //
 // The pool is also the failure boundary: a panicking job becomes an
-// error carrying its identity (never a dead sweep), transient errors are
-// retried on a deterministic exponential-backoff-with-jitter schedule,
-// and a per-job deadline and stall watchdog bound how long any one cell
-// can hold a worker. See resilience.go.
+// error carrying its identity (never a dead sweep), and a per-job
+// deadline bounds how long any one cell can hold a worker. A job runs
+// once: its trace comes from a seeded generator, so a job that fails
+// would fail the same way again. See resilience.go.
 package runner
 
 import (
@@ -34,10 +34,9 @@ import (
 type Job struct {
 	// Label identifies the job in errors and progress output.
 	Label string
-	// Source opens the job's trace. It is called once per attempt, on
-	// the worker goroutine that runs the job, so generators need not be
-	// safe for concurrent use across jobs — and a retried attempt starts
-	// from a fresh reader.
+	// Source opens the job's trace. It is called once, on the worker
+	// goroutine that runs the job, so generators need not be safe for
+	// concurrent use across jobs.
 	Source func() (trace.Reader, error)
 	// Schemes, Config and Opts parameterise sim.RunSchemes.
 	Schemes []string
@@ -54,7 +53,7 @@ type Options struct {
 	// workers).
 	Workers int
 	// Metrics, when non-nil, accumulates refs simulated, jobs done/total,
-	// retries/failures/panics and per-engine tallies across the run.
+	// failures/panics and per-engine tallies across the run.
 	Metrics *obs.Metrics
 	// OnResult, when non-nil, is called once per successful job in job
 	// index order (calls are serialised and never run concurrently),
@@ -69,36 +68,14 @@ type Options struct {
 	// update. It must be cheap; throttle rendering in the caller (see
 	// obs.Throttle).
 	Progress func()
-	// Retry bounds how transient job failures are retried. The zero
-	// value retries nothing.
-	Retry RetryPolicy
-	// Sleep, when non-nil, is called with each backoff delay before a
-	// retry. Internal packages stay clock-free, so the cmd layer passes
-	// time.Sleep; nil applies the (still deterministic) schedule with no
-	// actual waiting — what tests want.
-	Sleep func(time.Duration)
-	// JobTimeout, when positive, bounds each attempt's wall-clock time;
-	// an attempt exceeding it fails with ErrJobDeadline.
+	// JobTimeout, when positive, bounds each job's wall-clock time; a
+	// job exceeding it fails with ErrJobDeadline.
 	JobTimeout time.Duration
-	// StallTimeout, when positive, arms a per-attempt watchdog that
-	// fails the attempt with ErrStalled when no reference batch
-	// completes within the interval — catching wedged trace sources that
-	// a generous JobTimeout would let hold a worker. It must comfortably
-	// exceed the time one reference batch takes.
-	StallTimeout time.Duration
-	// TransientFault, when non-nil, is consulted before each attempt of
-	// each job with (job index, attempt) and any returned error fails
-	// the attempt. It exists to inject transient infrastructure failures
-	// deterministically — fault-injection campaigns and retry tests wrap
-	// errors with Transient so the retry path is exercised end to end.
-	TransientFault func(index, attempt int) error
-	// TraceFor, when non-nil, is consulted at the start of each attempt
-	// with (job index, attempt) and may return a flight recorder for the
-	// attempt's simulation to record into (nil leaves the attempt
-	// untraced). Each attempt should get its own recorder — a retried
-	// attempt replays the trace from the start, so reusing one would mix
-	// two attempts' events. The recorder overrides Job.Opts.Recorder.
-	TraceFor func(index, attempt int) *flight.Recorder
+	// TraceFor, when non-nil, is consulted at the start of each job with
+	// its index and may return a flight recorder for the job's
+	// simulation to record into (nil leaves the job untraced). The
+	// recorder overrides Job.Opts.Recorder.
+	TraceFor func(index int) *flight.Recorder
 }
 
 // Run executes the jobs on a bounded worker pool and returns one result
@@ -160,10 +137,10 @@ func Run(ctx context.Context, jobs []Job, opts Options) ([][]sim.Result, error) 
 				if i >= len(jobs) || ctx.Err() != nil {
 					return
 				}
-				rs, attempts, err := runJob(ctx, i, jobs[i], opts)
+				rs, err := runJob(ctx, i, jobs[i], opts)
 				out[i] = rs
 				if err != nil {
-					errs[i] = &JobError{Index: i, Label: jobs[i].Label, Attempts: attempts, Err: err}
+					errs[i] = &JobError{Index: i, Label: jobs[i].Label, Err: err}
 					if opts.Metrics != nil {
 						opts.Metrics.AddFailure()
 					}
@@ -186,36 +163,11 @@ func Run(ctx context.Context, jobs []Job, opts Options) ([][]sim.Result, error) 
 	return out, nil
 }
 
-// runJob runs one job to completion, retrying transient failures on the
-// policy's deterministic backoff schedule. It reports how many attempts
-// ran.
-func runJob(ctx context.Context, index int, j Job, opts Options) ([]sim.Result, int, error) {
-	maxAttempts := opts.Retry.Max
-	if maxAttempts < 1 {
-		maxAttempts = 1
-	}
-	for attempt := 1; ; attempt++ {
-		rs, err := runAttempt(ctx, index, attempt, j, opts)
-		if err == nil {
-			return rs, attempt, nil
-		}
-		if attempt >= maxAttempts || !IsTransient(err) || ctx.Err() != nil {
-			return nil, attempt, err
-		}
-		if opts.Metrics != nil {
-			opts.Metrics.AddRetry()
-		}
-		if d := opts.Retry.Backoff(index, attempt); d > 0 && opts.Sleep != nil {
-			opts.Sleep(d)
-		}
-	}
-}
-
-// runAttempt opens the job's trace and runs its schemes once, threading
-// the pool's instrumentation into the simulation driver. Panics are
-// recovered into *PanicError; the per-attempt deadline and stall
-// watchdog, when configured, cancel the attempt with their cause.
-func runAttempt(ctx context.Context, index, attempt int, j Job, opts Options) (rs []sim.Result, err error) {
+// runJob opens the job's trace and runs its schemes once, threading the
+// pool's instrumentation into the simulation driver. Panics are recovered
+// into *PanicError; the per-job deadline, when configured, cancels the
+// job with ErrJobDeadline.
+func runJob(ctx context.Context, index int, j Job, opts Options) (rs []sim.Result, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			if opts.Metrics != nil {
@@ -224,58 +176,38 @@ func runAttempt(ctx context.Context, index, attempt int, j Job, opts Options) (r
 			rs, err = nil, &PanicError{Value: v, Stack: debug.Stack()}
 		}
 	}()
-	if opts.TransientFault != nil {
-		if ferr := opts.TransientFault(index, attempt); ferr != nil {
-			return nil, ferr
-		}
-	}
 	if j.Source == nil {
 		return nil, fmt.Errorf("runner: job has no trace source")
 	}
 
-	attemptCtx := ctx
-	guarded := false
+	jobCtx := ctx
 	if opts.JobTimeout > 0 {
 		var cancel context.CancelFunc
-		attemptCtx, cancel = context.WithTimeoutCause(attemptCtx, opts.JobTimeout, ErrJobDeadline)
+		jobCtx, cancel = context.WithTimeoutCause(ctx, opts.JobTimeout, ErrJobDeadline)
 		defer cancel()
-		guarded = true
-	}
-	var watchdog *time.Timer
-	if opts.StallTimeout > 0 {
-		wctx, cancel := context.WithCancelCause(attemptCtx)
-		attemptCtx = wctx
-		watchdog = time.AfterFunc(opts.StallTimeout, func() { cancel(ErrStalled) })
-		defer watchdog.Stop()
-		defer cancel(nil)
-		guarded = true
 	}
 
 	rd, err := j.Source()
 	if err != nil {
 		return nil, err
 	}
-	if guarded {
-		rd = guard(attemptCtx, rd)
+	if opts.JobTimeout > 0 {
+		rd = guard(jobCtx, rd)
 	}
 	simOpts := j.Opts
 	if opts.TraceFor != nil {
-		simOpts.Recorder = opts.TraceFor(index, attempt)
+		simOpts.Recorder = opts.TraceFor(index)
 	}
-	// ticks counts this attempt's progress callbacks — the job's latency
-	// in reference batches, a deterministic stand-in for wall clock.
+	// ticks counts this job's progress callbacks — its latency in
+	// reference batches, a deterministic stand-in for wall clock.
 	var ticks uint64
-	if opts.Metrics != nil || opts.Progress != nil || watchdog != nil {
+	if opts.Metrics != nil || opts.Progress != nil {
 		prev := simOpts.OnProgress
-		stall := opts.StallTimeout
 		simOpts.OnProgress = func(n int) {
 			if prev != nil {
 				prev(n)
 			}
 			ticks++
-			if watchdog != nil {
-				watchdog.Reset(stall)
-			}
 			if opts.Metrics != nil {
 				opts.Metrics.AddRefs(uint64(n))
 			}
@@ -284,13 +216,13 @@ func runAttempt(ctx context.Context, index, attempt int, j Job, opts Options) (r
 			}
 		}
 	}
-	rs, err = sim.RunSchemes(attemptCtx, rd, j.Schemes, j.Config, simOpts)
+	rs, err = sim.RunSchemes(jobCtx, rd, j.Schemes, j.Config, simOpts)
 	if err != nil {
-		// When the attempt's own guard fired (not the run-level context),
-		// report its cause — ErrStalled or ErrJobDeadline — instead of a
-		// bare context error.
-		if attemptCtx.Err() != nil && ctx.Err() == nil {
-			err = context.Cause(attemptCtx)
+		// When the job's own deadline fired (not the run-level context),
+		// report its cause, ErrJobDeadline, instead of a bare context
+		// error.
+		if jobCtx.Err() != nil && ctx.Err() == nil {
+			err = context.Cause(jobCtx)
 		}
 		return nil, err
 	}

@@ -37,7 +37,6 @@ type Event struct {
 	Refs      uint64 `json:"refs,omitempty"`
 	JobsDone  uint64 `json:"jobs_done,omitempty"`
 	JobsTotal uint64 `json:"jobs_total,omitempty"`
-	Retries   uint64 `json:"retries,omitempty"`
 	// CellsDone/CellsTotal accompany "chunk" events: how far a chunked
 	// sweep has progressed through its grid.
 	CellsDone  int `json:"cells_done,omitempty"`
@@ -317,7 +316,6 @@ func progressEvent(s obs.Snapshot) Event {
 		Refs:      s.Refs,
 		JobsDone:  s.JobsDone,
 		JobsTotal: s.JobsTotal,
-		Retries:   s.Retries,
 	}
 }
 

@@ -100,15 +100,9 @@ type Config struct {
 	// means 16.
 	ChunkCells int
 
-	// JobTimeout, StallTimeout, Retries and RetryBase configure the
-	// runner's per-attempt resilience policy, exactly as the CLIs do.
-	JobTimeout   time.Duration
-	StallTimeout time.Duration
-	Retries      int
-	RetryBase    time.Duration
-	// Sleep is called with retry backoff delays (cmd passes time.Sleep;
-	// nil applies the schedule without waiting).
-	Sleep func(time.Duration)
+	// JobTimeout, when positive, bounds each cell's wall-clock time, as
+	// the CLIs' -job-timeout does; a cell exceeding it fails the job.
+	JobTimeout time.Duration
 
 	// NowNanos is the injected clock used only to throttle progress
 	// events and sample admit-wait latency (cmd passes
@@ -603,17 +597,10 @@ func (s *Server) runChunk(j *job, lo, hi int) (err error) {
 			th = obs.NewThrottle(s.cfg.ProgressEvery, s.cfg.NowNanos)
 		}
 		ropts := runner.Options{
-			Workers:      s.cfg.Workers,
-			Metrics:      j.metrics,
-			TraceFor:     s.traceFor(j, jobs, globals),
-			JobTimeout:   s.cfg.JobTimeout,
-			StallTimeout: s.cfg.StallTimeout,
-			Retry: runner.RetryPolicy{
-				Max:  s.cfg.Retries + 1,
-				Base: s.cfg.RetryBase,
-				Seed: 1,
-			},
-			Sleep: s.cfg.Sleep,
+			Workers:    s.cfg.Workers,
+			Metrics:    j.metrics,
+			TraceFor:   s.traceFor(j, jobs, globals),
+			JobTimeout: s.cfg.JobTimeout,
 			Progress: func() {
 				if th == nil || th.Ready() {
 					j.appendEvent(progressEvent(j.metrics.Snapshot()))
@@ -797,14 +784,14 @@ func (s *Server) fleetAuth(w http.ResponseWriter, r *http.Request) bool {
 }
 
 // traceFor returns the runner trace hook for one chunk: a fresh recorder
-// per cell attempt, pid keyed to the cell's ordinal in the whole job,
+// per cell, pid keyed to the cell's ordinal in the whole job,
 // registered on the job for the trace endpoint. Nil when the daemon runs
 // untraced.
-func (s *Server) traceFor(j *job, jobs []runner.Job, globals []int) func(index, attempt int) *flight.Recorder {
+func (s *Server) traceFor(j *job, jobs []runner.Job, globals []int) func(index int) *flight.Recorder {
 	if s.cfg.TraceSample <= 0 {
 		return nil
 	}
-	return func(index, attempt int) *flight.Recorder {
+	return func(index int) *flight.Recorder {
 		rec := flight.New(flight.Options{
 			Sample: s.cfg.TraceSample,
 			Spans:  true,

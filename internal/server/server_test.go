@@ -18,6 +18,7 @@ import (
 
 	"dirsim/internal/coherence"
 	"dirsim/internal/obs"
+	"dirsim/internal/runner"
 	"dirsim/internal/spec"
 )
 
@@ -610,6 +611,39 @@ func TestSweepRequest(t *testing.T) {
 		if err != nil || len(srs) != 2 {
 			t.Fatalf("cell %d: %d scheme results (%v)", i, len(srs), err)
 		}
+	}
+}
+
+// JobTimeout is the daemon's one bound on a cell's wall time: a cell
+// that overruns it fails the job with ErrJobDeadline's message, and no
+// document for the cell is cached, so a later submit simulates afresh.
+func TestJobTimeoutFailsCell(t *testing.T) {
+	s, ts := testServer(t, Config{JobTimeout: time.Nanosecond, CacheDir: t.TempDir()})
+	body := cellBody(t, 50_000, 3) // many reference chunks, each a deadline check
+	code, data := postWait(t, ts, body)
+	if code != http.StatusInternalServerError {
+		t.Fatalf("status %d body %s, want 500", code, data)
+	}
+	var st spec.JobStatus
+	if err := json.Unmarshal(data, &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Status != statusFailed || !strings.Contains(st.Error, runner.ErrJobDeadline.Error()) {
+		t.Fatalf("job = %+v, want failed with %q", st, runner.ErrJobDeadline)
+	}
+	var req spec.Request
+	if err := json.Unmarshal(body, &req); err != nil {
+		t.Fatal(err)
+	}
+	hash, err := req.Cell.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.cache.getCell(hash); ok {
+		t.Error("a cell that overran its deadline was cached")
+	}
+	if n := s.cache.len(); n != 0 {
+		t.Errorf("%d cache entries after a failed job, want 0", n)
 	}
 }
 

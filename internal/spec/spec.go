@@ -158,9 +158,9 @@ func (c Cell) Hash() (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// Job compiles the cell into a runner job. The trace source re-opens the
-// generator (and re-applies the filter) on every attempt, so retries see
-// a fresh stream.
+// Job compiles the cell into a runner job. The trace source opens the
+// generator (and applies the filter) each time it is called, so every
+// run of the job sees a fresh stream.
 func (c Cell) Job() (runner.Job, error) {
 	if err := c.Validate(); err != nil {
 		return runner.Job{}, err
